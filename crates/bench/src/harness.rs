@@ -110,9 +110,20 @@ pub struct HdProjection {
     pub branch_slots_per_frame: f64,
 }
 
-/// Projects a run to full HD (see [`HdProjection`]).
+/// Full-HD pixels per pixel of the run's own frames: the factor its
+/// per-frame figures scale by. A run of no frames has no resolution and
+/// projects to zero.
+fn full_hd_scale(report: &RunReport) -> f64 {
+    match report.masks.first() {
+        Some(mask) => Resolution::FULL_HD.pixels() as f64 / mask.len() as f64,
+        None => 0.0,
+    }
+}
+
+/// Projects a run, at whatever resolution it simulated, to full HD (see
+/// [`HdProjection`]).
 pub fn project_full_hd(report: &RunReport, level: OptLevel, cfg: &GpuConfig) -> HdProjection {
-    let scale = Resolution::FULL_HD.pixels() as f64 / SIM_RESOLUTION.pixels() as f64;
+    let scale = full_hd_scale(report);
     let kernel_hd = report.kernel_time_per_frame() * scale;
     let t_h2d = transfer_time(Resolution::FULL_HD.pixels(), cfg);
     let t_d2h = t_h2d;
@@ -131,7 +142,7 @@ pub fn project_full_hd(report: &RunReport, level: OptLevel, cfg: &GpuConfig) -> 
 /// traced scalar work. Pass a *sorted-level* report (C) so the work
 /// matches the serial algorithm.
 pub fn cpu_serial_hd_per_frame(sorted_report: &RunReport) -> f64 {
-    let scale = Resolution::FULL_HD.pixels() as f64 / SIM_RESOLUTION.pixels() as f64;
+    let scale = full_hd_scale(sorted_report);
     CpuModel::default().serial_time(&sorted_report.stats) / sorted_report.frames as f64 * scale
 }
 
@@ -189,6 +200,26 @@ mod tests {
         let scale = Resolution::FULL_HD.pixels() as f64 / SIM_RESOLUTION.pixels() as f64;
         assert!((hd.kernel_ms / (1e3 * report.kernel_time_per_frame()) - scale).abs() < 1e-6);
         assert!(hd.total_450_s > 0.0);
+    }
+
+    #[test]
+    fn projection_scales_by_the_runs_own_resolution() {
+        // A QVGA run has 4x the pixels of the simulation resolution, so
+        // it projects to full HD by 4x less, landing on the same paper
+        // numbers.
+        let frames = standard_scene(Resolution::QVGA)
+            .render_sequence(3)
+            .0
+            .into_frames();
+        let report = run_level::<f64>(OptLevel::C, default_params(3), &frames);
+        let hd = project_full_hd(&report, OptLevel::C, &GpuConfig::tesla_c2075());
+        let scale = Resolution::FULL_HD.pixels() as f64 / Resolution::QVGA.pixels() as f64;
+        assert!((hd.kernel_ms / (1e3 * report.kernel_time_per_frame()) - scale).abs() < 1e-9);
+        let per_frame = cpu_serial_hd_per_frame(&report);
+        assert!(
+            (per_frame - 0.505).abs() / 0.505 < 0.15,
+            "serial full-HD frame from a QVGA run modelled at {per_frame:.3} s (paper: 0.505 s)"
+        );
     }
 
     #[test]

@@ -6,36 +6,25 @@
 //! mogpu ladder --frames 24        # climb optimization levels A..F, W(8)
 //! mogpu run -i in.y4m -o out.y4m  # subtract a real Y4M capture
 //! ```
+//!
+//! Each subcommand declares its flags in [`command`]; [`Opts::parse`]
+//! checks every value's type and range and rejects unknown, repeated and
+//! valueless flags before any work or output starts.
 
+use mogpu::core::{AdaptiveGpuMog, DeviceReal, PipelineError};
 use mogpu::frame::{save_pgm, write_y4m};
+use mogpu::json::Value;
 use mogpu::prelude::*;
-use std::path::PathBuf;
+use mogpu::serve::MetricsServer;
+use mogpu::sim::serving::{ServingEvent, SloConfig};
+use mogpu::sim::DataflowGraph;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("info") => cmd_info(),
-        Some("demo") => cmd_demo(&args[1..]),
-        Some("ladder") => cmd_ladder(&args[1..]),
-        Some("run") => cmd_run(&args[1..]),
-        Some("profile") => cmd_profile(&args[1..]),
-        Some("advise") => cmd_advise(&args[1..]),
-        Some("diff") => cmd_diff(&args[1..]),
-        Some("dataflow") => cmd_dataflow(&args[1..]),
-        Some("streams") => cmd_streams(&args[1..]),
-        Some("fleet") => cmd_fleet(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("check") => cmd_check(&args[1..]),
-        Some("metrics") => cmd_metrics(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
-        Some("help") | Some("--help") | Some("-h") | None => {
-            print_help();
-            Ok(())
-        }
-        Some(other) => Err(format!("unknown command {other:?}; try `mogpu help`")),
-    };
-    match result {
+    match dispatch(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -44,9 +33,28 @@ fn main() -> ExitCode {
     }
 }
 
-fn print_help() {
-    println!(
-        "mogpu — GPU-optimized MoG background subtraction (ICPP'14 reproduction)
+fn dispatch(args: &[String]) -> Result<(), String> {
+    let (name, rest) = match args {
+        [] => ("help".to_string(), args),
+        [bench, sub, rest @ ..] if bench == "bench" => (format!("bench {sub}"), rest),
+        [first, rest @ ..] => (first.clone(), rest),
+    };
+    if matches!(name.as_str(), "help" | "--help" | "-h") {
+        println!("{HELP}");
+        return Ok(());
+    }
+    let (flags, run) = command(&name).ok_or_else(|| {
+        if name == "bench" || name.starts_with("bench ") {
+            "usage: mogpu bench record|check (see `mogpu help`)".to_string()
+        } else {
+            format!("unknown command {name:?}; try `mogpu help`")
+        }
+    })?;
+    let files = if name == "diff" { 2 } else { 0 };
+    run(&Opts::parse(&name, flags, files, rest)?)
+}
+
+const HELP: &str = "mogpu — GPU-optimized MoG background subtraction (ICPP'14 reproduction)
 
 COMMANDS:
     info      Print the simulated GPU/CPU hardware configuration
@@ -235,36 +243,314 @@ USAGE:
                                  one track triple per stream; load in
                                  chrome://tracing or Perfetto)
         --metrics-out FILE.prom  telemetry in Prometheus text format
-                                 (ladder: all levels in one exposition)"
-    );
+                                 (ladder: all levels in one exposition)";
+
+type Handler = fn(&Opts) -> Result<(), String>;
+
+/// A subcommand's flag table, composed from the shared groups, and its
+/// handler.
+fn command(name: &str) -> Option<(Vec<Flag>, Handler)> {
+    let cat = |groups: &[&[Flag]]| groups.concat();
+    let baseline = mogpu::bench::baseline::DEFAULT_BASELINE_PATH;
+    let streams = count("--streams", 1).or("4");
+    let command: (Vec<Flag>, Handler) = match name {
+        "info" => (vec![], |_| cmd_info()),
+        "demo" => {
+            let own = [
+                text("--out").or("mogpu_demo"),
+                LEVEL.or("F"),
+                FRAMES.or("40"),
+            ];
+            (cat(&[&own, &OBS]), cmd_demo)
+        }
+        "ladder" => (
+            cat(&[&[FRAMES.or("24"), K.or("3"), FLOAT, JSON], &OBS]),
+            cmd_ladder,
+        ),
+        "run" => {
+            let own = [text("--input"), text("--output")];
+            (cat(&[&workload("16", "F"), &own, &OBS]), cmd_run)
+        }
+        "profile" => {
+            let own = [TOP, text("--input")];
+            (cat(&[&workload("16", "F"), &own, &OBS]), cmd_profile)
+        }
+        "advise" => {
+            let own = [TPB, TOP, JSON, text("--fleet-report")];
+            (cat(&[&workload("16", "A"), &own]), cmd_advise)
+        }
+        "diff" => {
+            let own = [JSON, TOP, text("--out"), text("--dot-out")];
+            let more = [text("--metrics-out"), text("--config").or("c2075")];
+            (cat(&[&own, &more]), cmd_diff)
+        }
+        "dataflow" => {
+            let own = [JSON, text("--dot-out"), text("--metrics-out")];
+            (cat(&[&workload("16", "F"), &own]), cmd_dataflow)
+        }
+        "streams" => {
+            let own = [streams, JSON];
+            (
+                cat(&[&workload("16", "F"), &own, &SERVING, &OBS, &SERVE]),
+                cmd_streams,
+            )
+        }
+        "fleet" => {
+            let own = [
+                text("--devices").or("c2075,embedded,hbm"),
+                streams,
+                JSON,
+                real("--headroom", |x| x > 0.0, "> 0").or("1"),
+                real("--device-mem-mb", |x| x >= 0.0, ">= 0"),
+                text("--report-out"),
+            ];
+            (
+                cat(&[&workload("12", "F"), &own, &SERVING, &SERVE]),
+                cmd_fleet,
+            )
+        }
+        "serve" => {
+            let own = [text("--report"), text("--addr").or("127.0.0.1:9184")];
+            (cat(&[&own, &SERVE[1..]]), cmd_serve)
+        }
+        "check" => (vec![FRAMES.or("8"), K.or("3"), FLOAT, JSON], cmd_check),
+        "metrics" => (cat(&[&workload("16", "F"), &[text("--out")]]), cmd_metrics),
+        "bench record" => {
+            // Absent flags keep the `BenchConfig` defaults.
+            let own = [FRAMES, K, count("--streams", 1)];
+            (
+                cat(&[&[text("--out").or(baseline)], &own]),
+                cmd_bench_record,
+            )
+        }
+        "bench check" => {
+            let own = [text("--baseline").or(baseline), JSON, text("--diff-out")];
+            (own.to_vec(), cmd_bench_check)
+        }
+        _ => return None,
+    };
+    Some(command)
 }
 
-/// Looks up `--flag value` in an argument list.
-fn opt_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// One declared flag: its name, what its value must be, and the value
+/// it takes when absent.
+#[derive(Clone, Copy)]
+struct Flag {
+    name: &'static str,
+    kind: Kind,
+    default: Option<&'static str>,
 }
 
-fn opt_flag(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
+#[derive(Clone, Copy)]
+enum Kind {
+    /// A bare switch: no value.
+    Switch,
+    /// A non-empty string: a path, an address or a list.
+    Text,
+    /// An integer in `min..=max`.
+    Count(usize, usize),
+    /// A MoG component count, as [`MogParams::validate`] bounds it.
+    Components,
+    /// A finite real the predicate admits, described by the text.
+    Real(fn(f64) -> bool, &'static str),
+    /// An optimization level: A..F or W<group>.
+    Level,
 }
 
-/// Parses `--replay-ms` into seconds. The replay interval divides the
-/// wall clock, so zero, negative and non-finite values are rejected
-/// here with a usable error instead of being clamped downstream.
-fn parse_replay_s(args: &[String]) -> Result<f64, String> {
-    match opt_value(args, "--replay-ms") {
-        None => Ok(mogpu::serve::DEFAULT_REPLAY_INTERVAL_S),
-        Some(v) => {
-            let ms: f64 = v.parse().map_err(|_| format!("bad --replay-ms {v:?}"))?;
-            if !ms.is_finite() || ms <= 0.0 {
-                return Err(format!(
-                    "--replay-ms must be a positive number of milliseconds, got {v:?}"
-                ));
+const fn flag(name: &'static str, kind: Kind) -> Flag {
+    Flag {
+        name,
+        kind,
+        default: None,
+    }
+}
+
+const fn text(name: &'static str) -> Flag {
+    flag(name, Kind::Text)
+}
+
+const fn count(name: &'static str, min: usize) -> Flag {
+    flag(name, Kind::Count(min, usize::MAX))
+}
+
+const fn real(name: &'static str, admits: fn(f64) -> bool, want: &'static str) -> Flag {
+    flag(name, Kind::Real(admits, want))
+}
+
+/// Frame 0 seeds the model, so a run needs at least two frames.
+const FRAMES: Flag = count("--frames", 2);
+const LEVEL: Flag = flag("--level", Kind::Level);
+const K: Flag = flag("--k", Kind::Components);
+const FLOAT: Flag = flag("--float", Kind::Switch);
+const JSON: Flag = flag("--json", Kind::Switch);
+const TOP: Flag = count("--top", 1).or("10");
+const TPB: Flag = flag("--tpb", Kind::Count(1, u32::MAX as usize));
+
+/// The workload group: `--level --frames --k --float`.
+const fn workload(frames: &'static str, level: &'static str) -> [Flag; 4] {
+    [LEVEL.or(level), FRAMES.or(frames), K.or("3"), FLOAT]
+}
+
+/// The profile-artifact group of demo / ladder / run / profile / streams.
+const OBS: [Flag; 3] = [
+    text("--report-out"),
+    text("--trace-out"),
+    text("--metrics-out"),
+];
+
+/// The serving group of streams / fleet.
+const SERVING: [Flag; 6] = [
+    count("--buffers", 1).or("2"),
+    real("--fps", |x| x >= 0.0, ">= 0").or("0"),
+    real("--slo-ms", |x| x > 0.0, "> 0").or("40"),
+    real("--error-budget", |x| (0.0..=1.0).contains(&x), "in [0, 1]").or("0.01"),
+    real("--window-ms", |x| x >= 0.0, ">= 0").or("0"),
+    text("--events-out"),
+];
+
+/// The scrape-endpoint group of streams / fleet (`serve` binds `--addr`
+/// instead of `--serve-metrics`).
+const SERVE: [Flag; 3] = [
+    text("--serve-metrics"),
+    real("--serve-seconds", |x| x >= 0.0, ">= 0").or("0"),
+    real("--replay-ms", |x| x > 0.0, "> 0").or("500"),
+];
+
+impl Flag {
+    /// The flag with `default` as its value when absent.
+    const fn or(self, default: &'static str) -> Flag {
+        Flag {
+            default: Some(default),
+            ..self
+        }
+    }
+
+    /// Checks `raw` against the flag's type and range.
+    fn check(&self, raw: &str) -> Result<(), String> {
+        let name = self.name;
+        let fail = |want: &str| Err(format!("{name} must be {want}, got {raw:?}"));
+        match self.kind {
+            Kind::Switch => Ok(()),
+            Kind::Text if raw.is_empty() => fail("non-empty"),
+            Kind::Text => Ok(()),
+            Kind::Count(min, max) => match raw.parse::<usize>() {
+                Ok(n) if (min..=max).contains(&n) => Ok(()),
+                _ if max == usize::MAX => fail(&format!("an integer >= {min}")),
+                _ => fail(&format!("an integer in {min}..={max}")),
+            },
+            Kind::Components => match raw.parse::<usize>() {
+                Ok(k) => MogParams::new(k)
+                    .validate()
+                    .map_err(|e| format!("{name}: {e}")),
+                Err(_) => fail("an integer"),
+            },
+            Kind::Real(admits, want) => match raw.parse::<f64>() {
+                Ok(x) if x.is_finite() && admits(x) => Ok(()),
+                _ => fail(&format!("a finite number {want}")),
+            },
+            Kind::Level => parse_level(raw)
+                .map(drop)
+                .map_err(|e| format!("{name}: {e}")),
+        }
+    }
+}
+
+/// A subcommand's checked command line.
+struct Opts {
+    cmd: String,
+    flags: Vec<Flag>,
+    /// The flags given, with their checked raw values (empty for
+    /// switches).
+    given: Vec<(&'static str, String)>,
+    files: Vec<PathBuf>,
+}
+
+impl Opts {
+    /// Parses `args` against `flags`: rejects unknown, repeated and
+    /// valueless flags, out-of-range values and any count of file
+    /// arguments other than `files`, naming the offending argument.
+    fn parse(cmd: &str, flags: Vec<Flag>, files: usize, args: &[String]) -> Result<Opts, String> {
+        let mut opts = Opts {
+            cmd: cmd.to_string(),
+            flags,
+            given: Vec::new(),
+            files: Vec::new(),
+        };
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            if !arg.starts_with('-') {
+                opts.files.push(PathBuf::from(arg));
+                continue;
             }
-            Ok(ms / 1e3)
+            let name = match arg.as_str() {
+                "-i" => "--input",
+                "-o" => "--output",
+                other => other,
+            };
+            let Some(flag) = opts.flags.iter().find(|f| f.name == name).copied() else {
+                let accepted: Vec<&str> = opts.flags.iter().map(|f| f.name).collect();
+                return Err(format!(
+                    "unknown {cmd} option {arg:?} (accepted: {accepted:?}); try `mogpu help`"
+                ));
+            };
+            if opts.has(flag.name) {
+                return Err(format!("repeated {cmd} option {:?}", flag.name));
+            }
+            let value = match flag.kind {
+                Kind::Switch => String::new(),
+                _ => match args.next() {
+                    Some(v) if !v.starts_with("--") => v.clone(),
+                    _ => return Err(format!("{cmd} option {} needs a value", flag.name)),
+                },
+            };
+            flag.check(&value)?;
+            opts.given.push((flag.name, value));
+        }
+        if opts.files.len() != files {
+            return Err(format!(
+                "{cmd} takes {files} file argument(s), got {:?}; try `mogpu help`",
+                opts.files
+            ));
+        }
+        Ok(opts)
+    }
+
+    /// True when `name` was given on the command line.
+    fn has(&self, name: &str) -> bool {
+        self.given.iter().any(|(n, _)| *n == name)
+    }
+
+    /// `name`'s value as given, else its declared default; `None` when
+    /// neither exists.
+    fn get<T: FromStr>(&self, name: &str) -> Option<T> {
+        let raw = match self.given.iter().find(|(n, _)| *n == name) {
+            Some((_, v)) => v.as_str(),
+            None => self.flags.iter().find(|f| f.name == name)?.default?,
+        };
+        match raw.parse() {
+            Ok(v) => Some(v),
+            Err(_) => unreachable!("{name} {raw:?} passed its check"),
+        }
+    }
+
+    /// `name`'s value; the table declares a default for it.
+    fn req<T: FromStr>(&self, name: &str) -> T {
+        match self.get(name) {
+            Some(v) => v,
+            None => unreachable!("{} declares no default for {name}", self.cmd),
+        }
+    }
+
+    fn level(&self) -> OptLevel {
+        parse_level(&self.req::<String>("--level")).expect("--level passed its check")
+    }
+
+    /// Rejects any of `flags` given alongside a mode that does not use
+    /// them.
+    fn unused(&self, flags: &[&str], mode: &str) -> Result<(), String> {
+        match flags.iter().find(|f| self.has(f)) {
+            Some(f) => Err(format!("{} option {f} is not used {mode}", self.cmd)),
+            None => Ok(()),
         }
     }
 }
@@ -282,14 +568,299 @@ fn parse_level(s: &str) -> Result<OptLevel, String> {
             let group: usize = if digits.is_empty() {
                 8 // bare "W" means the paper's default group size
             } else {
-                digits
-                    .parse()
-                    .map_err(|_| format!("bad windowed level {s:?}; use e.g. W8"))?
+                match digits.parse() {
+                    Ok(g) if g >= 1 => g,
+                    _ => return Err(format!("bad windowed level {s:?}; use e.g. W8")),
+                }
             };
             Ok(OptLevel::Windowed { group })
         }
         _ => Err(format!("unknown level {s:?} (A..F or W<group>)")),
     }
+}
+
+/// One synthetic run: level, frame count, component count and precision
+/// from the flags; the scene's resolution, seed and walkers fixed per
+/// subcommand.
+#[derive(Clone, Copy)]
+struct Workload {
+    level: OptLevel,
+    frames: usize,
+    k: usize,
+    float: bool,
+    res: Resolution,
+    seed: u64,
+    walkers: usize,
+}
+
+impl Workload {
+    /// The run `--frames --k --float` describe at `level`, on the scene
+    /// every synthetic subcommand but `demo` renders.
+    fn new(opts: &Opts, level: OptLevel) -> Workload {
+        Workload {
+            level,
+            frames: opts.req("--frames"),
+            k: opts.req("--k"),
+            float: opts.has("--float"),
+            res: Resolution::QQVGA,
+            seed: 7,
+            walkers: 3,
+        }
+    }
+
+    fn precision(&self) -> &'static str {
+        if self.float {
+            "float"
+        } else {
+            "double"
+        }
+    }
+
+    fn scene(&self) -> Scene {
+        SceneBuilder::new(self.res)
+            .seed(self.seed)
+            .walkers(self.walkers)
+            .build()
+    }
+
+    /// The scene's frame sequence; frame 0 seeds the model.
+    fn render(&self) -> Vec<Frame<u8>> {
+        self.scene().render_sequence(self.frames).0.into_frames()
+    }
+
+    /// One distinct scene per camera, for the multi-stream subcommands.
+    fn cameras(&self, n: usize) -> Vec<Vec<Frame<u8>>> {
+        (0..n)
+            .map(|s| {
+                let seed = 100 + s as u64;
+                Workload {
+                    seed,
+                    walkers: 2 + s % 3,
+                    ..*self
+                }
+                .render()
+            })
+            .collect()
+    }
+
+    /// Runs `job` at the device precision `--float` selects: the one
+    /// place the CLI picks between `f32` and `f64`.
+    fn try_run<J: Job>(&self, job: J) -> Result<J::Out, PipelineError> {
+        if self.float {
+            job.run::<f32>(self)
+        } else {
+            job.run::<f64>(self)
+        }
+    }
+
+    fn run<J: Job>(&self, job: J) -> Result<J::Out, String> {
+        self.try_run(job).map_err(|e| e.to_string())
+    }
+}
+
+/// A pipeline run written once for both device precisions.
+trait Job {
+    type Out;
+    fn run<T: DeviceReal>(self, w: &Workload) -> Result<Self::Out, PipelineError>;
+}
+
+/// What a [`Single`] run records besides its masks and counters.
+#[derive(Clone, Copy, Default)]
+struct Instruments {
+    profile: bool,
+    dataflow: bool,
+    morphology: bool,
+    sanitize: bool,
+    tpb: Option<u32>,
+}
+
+/// The profiler plus the dataflow graph that draws the Chrome-trace flow
+/// arrows (recording is transparent: bit-identical masks and counters).
+fn profiled(on: bool) -> Instruments {
+    Instruments {
+        profile: on,
+        dataflow: on,
+        ..Instruments::default()
+    }
+}
+
+/// One `GpuMog` over the frames (frame 0 seeds the model).
+struct Single<'a>(&'a [Frame<u8>], Instruments);
+
+/// A [`Single`] run's report and what its instruments recorded.
+struct Outcome {
+    run: RunReport,
+    profile: Option<ProfileReport>,
+    graph: Option<DataflowGraph>,
+    san: Option<mogpu::sim::SanReport>,
+}
+
+impl Job for Single<'_> {
+    type Out = Outcome;
+
+    fn run<T: DeviceReal>(self, w: &Workload) -> Result<Outcome, PipelineError> {
+        let Single(frames, on) = self;
+        let mut gpu = GpuMog::<T>::new(
+            frames[0].resolution(),
+            MogParams::new(w.k),
+            w.level,
+            frames[0].as_slice(),
+            GpuConfig::tesla_c2075(),
+        )?;
+        if let Some(tpb) = on.tpb {
+            gpu.set_threads_per_block(tpb);
+        }
+        if on.profile {
+            gpu.set_profile_mode(ProfileMode::On);
+        }
+        gpu.set_sanitize(on.sanitize);
+        if on.dataflow {
+            gpu.enable_dataflow();
+        }
+        if on.morphology {
+            // Morphology gives the MoG kernel a downstream consumer, as in
+            // the paper's full pipeline; per-kernel metrics are unaffected.
+            gpu.enable_morphology()?;
+        }
+        let run = gpu.process_all(&frames[1..])?;
+        Ok(Outcome {
+            run,
+            graph: gpu.dataflow_graph(),
+            profile: gpu.take_profile_report(),
+            san: gpu.take_san_report(),
+        })
+    }
+}
+
+/// The adaptive-K pipeline over the frames, under the sanitizer.
+struct AdaptiveSanitized<'a>(&'a [Frame<u8>]);
+
+impl Job for AdaptiveSanitized<'_> {
+    type Out = mogpu::sim::SanReport;
+
+    fn run<T: DeviceReal>(self, w: &Workload) -> Result<Self::Out, PipelineError> {
+        let frames = self.0;
+        let mut gpu = AdaptiveGpuMog::<T>::new(
+            frames[0].resolution(),
+            MogParams::new(w.k),
+            frames[0].as_slice(),
+            GpuConfig::tesla_c2075(),
+        )?;
+        gpu.set_sanitize(true);
+        gpu.process_all(&frames[1..])?;
+        Ok(gpu.take_san_report().expect("sanitize was on"))
+    }
+}
+
+/// Per-camera model seeds (frame 0) and the frames each camera serves.
+fn split_cameras(cameras: &[Vec<Frame<u8>>]) -> (Vec<&[u8]>, Vec<Vec<Frame<u8>>>) {
+    let seeds = cameras.iter().map(|f| f[0].as_slice()).collect();
+    (seeds, cameras.iter().map(|f| f[1..].to_vec()).collect())
+}
+
+/// N camera streams sharing one simulated device.
+struct Streams<'a>(&'a [Vec<Frame<u8>>], &'a Serving);
+
+impl Job for Streams<'_> {
+    type Out = MultiStreamReport;
+
+    fn run<T: DeviceReal>(self, w: &Workload) -> Result<Self::Out, PipelineError> {
+        let Streams(cameras, serving) = self;
+        let (seeds, frames) = split_cameras(cameras);
+        let mut multi = MultiGpuMog::<T>::new(
+            cameras[0][0].resolution(),
+            MogParams::new(w.k),
+            w.level,
+            &seeds,
+            GpuConfig::tesla_c2075(),
+        )?
+        .with_buffers(serving.buffers)
+        .with_slo(serving.slo)
+        .with_window(serving.window_s);
+        if serving.fps > 0.0 {
+            multi = multi.with_arrival_period(1.0 / serving.fps);
+        }
+        multi.process_all(&frames)
+    }
+}
+
+/// N camera streams sharded across a heterogeneous fleet.
+struct Fleet<'a> {
+    cameras: &'a [Vec<Frame<u8>>],
+    serving: &'a Serving,
+    devices: &'a [&'a str],
+    headroom: f64,
+    device_mem: Option<usize>,
+}
+
+impl Job for Fleet<'_> {
+    type Out = FleetRunReport;
+
+    fn run<T: DeviceReal>(self, w: &Workload) -> Result<Self::Out, PipelineError> {
+        let (seeds, frames) = split_cameras(self.cameras);
+        let mut fleet = FleetPipeline::<T>::new(
+            self.cameras[0][0].resolution(),
+            MogParams::new(w.k),
+            w.level,
+            &seeds,
+            self.devices,
+        )?
+        .with_buffers(self.serving.buffers)
+        .with_slo(self.serving.slo)
+        .with_window(self.serving.window_s)
+        .with_headroom(self.headroom);
+        if self.serving.fps > 0.0 {
+            fleet = fleet.with_arrival_period(1.0 / self.serving.fps);
+        }
+        if let Some(bytes) = self.device_mem {
+            fleet = fleet.with_device_mem(bytes);
+        }
+        fleet.process_all(&frames)
+    }
+}
+
+/// Levels A..F and W(8): the paper's ladder, as `ladder` and `check`
+/// sweep it.
+fn sweep() -> impl Iterator<Item = OptLevel> {
+    OptLevel::LADDER
+        .into_iter()
+        .chain([OptLevel::Windowed { group: 8 }])
+}
+
+fn pretty<T: serde::Serialize>(value: &T) -> Result<String, String> {
+    mogpu::json::to_string_pretty(value).map_err(|e| e.to_string())
+}
+
+fn canonical<T: serde::Serialize>(value: &T) -> Result<String, String> {
+    mogpu::json::to_string_canonical_pretty(value).map_err(|e| e.to_string())
+}
+
+fn write_file(path: &Path, contents: impl AsRef<[u8]>) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| format!("{}: {e}", path.display()))
+}
+
+/// Writes `frames`, all at `res`, to `path` as a 30 fps Y4M clip.
+fn write_clip(path: &Path, res: Resolution, frames: &[Frame<u8>]) -> Result<(), String> {
+    let named = |e: String| format!("{}: {e}", path.display());
+    let mut seq = FrameSequence::new(res);
+    for f in frames {
+        seq.push(f.clone()).map_err(|e| named(e.to_string()))?;
+    }
+    let file = std::fs::File::create(path).map_err(|e| named(e.to_string()))?;
+    write_y4m(&seq, 30, file).map_err(|e| named(e.to_string()))
+}
+
+fn read_json(path: &Path) -> Result<Value, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    mogpu::json::from_str(&text).map_err(|e| format!("{}: {e}", path.display()))
+}
+
+/// Reads a `what` report from `path`: the `key` member of the document a
+/// subcommand wrote, or a bare report.
+fn read_report<T: serde::Deserialize>(path: &Path, key: &str, what: &str) -> Result<T, String> {
+    let doc = read_json(path)?;
+    let value = doc.get(key).unwrap_or(&doc);
+    T::from_json_value(value).map_err(|e| format!("{}: not a {what} report: {e}", path.display()))
 }
 
 fn cmd_info() -> Result<(), String> {
@@ -315,55 +886,43 @@ fn cmd_info() -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_demo(args: &[String]) -> Result<(), String> {
-    let out_dir = PathBuf::from(opt_value(args, "--out").unwrap_or_else(|| "mogpu_demo".into()));
-    let n_frames: usize = opt_value(args, "--frames")
-        .map(|v| v.parse().unwrap_or(40))
-        .unwrap_or(40);
-    let level = parse_level(&opt_value(args, "--level").unwrap_or_else(|| "F".into()))?;
-    let obs = ObsFlags::parse(args)?;
+fn cmd_demo(opts: &Opts) -> Result<(), String> {
+    let out_dir: PathBuf = opts.req("--out");
+    let w = Workload {
+        level: opts.level(),
+        frames: opts.req("--frames"),
+        k: MogParams::default().k,
+        float: false,
+        res: Resolution::QVGA,
+        seed: 2014,
+        walkers: 4,
+    };
 
     std::fs::create_dir_all(&out_dir).map_err(|e| e.to_string())?;
-    let res = Resolution::QVGA;
-    let scene = SceneBuilder::new(res)
-        .seed(2014)
-        .walkers(4)
-        .bimodal_fraction(0.05)
-        .build();
-    let (frames_seq, _) = scene.render_sequence(n_frames);
-    let frames = frames_seq.clone().into_frames();
-
-    let mut gpu = GpuMog::<f64>::new(
-        res,
-        MogParams::default(),
-        level,
-        frames[0].as_slice(),
-        GpuConfig::tesla_c2075(),
-    )
-    .map_err(|e| e.to_string())?;
-    if obs.wanted() {
-        gpu.set_profile_mode(ProfileMode::On);
+    let res = w.res;
+    let frames = w.render();
+    let instruments = Instruments {
+        profile: profiles_wanted(opts),
+        ..Instruments::default()
+    };
+    let out = w.run(Single(&frames, instruments))?;
+    if let Some(profile) = out.profile {
+        write_profiles(opts, &[profile], &[])?;
     }
-    let report = gpu.process_all(&frames[1..]).map_err(|e| e.to_string())?;
-    if let Some(profile) = gpu.take_profile_report() {
-        obs.write(&[profile])?;
-    }
+    let report = out.run;
 
     // Snapshots of the last frame.
     let last = report.masks.len() - 1;
     save_pgm(&frames[last + 1], out_dir.join("input_last.pgm")).map_err(|e| e.to_string())?;
     save_pgm(&report.masks[last], out_dir.join("mask_last.pgm")).map_err(|e| e.to_string())?;
-    // Full clips.
-    let mut mask_seq = FrameSequence::new(res);
-    for m in &report.masks {
-        mask_seq.push(m.clone()).map_err(|e| e.to_string())?;
-    }
-    let f_in = std::fs::File::create(out_dir.join("input.y4m")).map_err(|e| e.to_string())?;
-    write_y4m(&frames_seq, 30, f_in).map_err(|e| e.to_string())?;
-    let f_out = std::fs::File::create(out_dir.join("masks.y4m")).map_err(|e| e.to_string())?;
-    write_y4m(&mask_seq, 30, f_out).map_err(|e| e.to_string())?;
+    write_clip(&out_dir.join("input.y4m"), res, &frames)?;
+    write_clip(&out_dir.join("masks.y4m"), res, &report.masks)?;
 
-    println!("level {} on {res}, {} frames:", level.name(), report.frames);
+    println!(
+        "level {} on {res}, {} frames:",
+        w.level.name(),
+        report.frames
+    );
     println!(
         "  kernel      : {:.3} ms/frame (modelled)",
         1e3 * report.kernel_time_per_frame()
@@ -388,52 +947,31 @@ fn cmd_demo(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_ladder(args: &[String]) -> Result<(), String> {
-    let n_frames: usize = opt_value(args, "--frames")
-        .map(|v| v.parse().unwrap_or(24))
-        .unwrap_or(24);
-    let k: usize = opt_value(args, "--k")
-        .map(|v| v.parse().unwrap_or(3))
-        .unwrap_or(3);
-    let use_f32 = opt_flag(args, "--float");
-    let json = opt_flag(args, "--json");
-    let obs = ObsFlags::parse(args)?;
-    let profile = json || obs.wanted();
-
-    let res = Resolution::QQVGA;
-    let frames = SceneBuilder::new(res)
-        .seed(7)
-        .walkers(3)
-        .build()
-        .render_sequence(n_frames)
-        .0
-        .into_frames();
+fn cmd_ladder(opts: &Opts) -> Result<(), String> {
+    let json = opts.has("--json");
+    let instruments = profiled(json || profiles_wanted(opts));
+    // The level is set per rung below.
+    let w = Workload::new(opts, OptLevel::A);
+    let frames = w.render();
     if !json {
         println!(
-            "optimization ladder — {res}, {} frames, K={k}, {}",
-            n_frames - 1,
-            if use_f32 { "float" } else { "double" }
+            "optimization ladder — {}, {} frames, K={}, {}",
+            w.res,
+            w.frames - 1,
+            w.k,
+            w.precision()
         );
-        println!(
-            "{:<6} {:>10} {:>10} {:>9} {:>9}  bottleneck",
-            "level", "kern ms", "e2e ms", "occup", "memEff"
-        );
+        println!("level     kern ms     e2e ms     occup    memEff  bottleneck");
     }
     let mut profiles: Vec<ProfileReport> = Vec::new();
-    let mut graphs: Vec<Option<mogpu::sim::DataflowGraph>> = Vec::new();
-    for level in OptLevel::LADDER
-        .into_iter()
-        .chain([OptLevel::Windowed { group: 8 }])
-    {
-        let (report, prof, graph) = if use_f32 {
-            run_level_profiled::<f32>(level, k, &frames, profile)?
-        } else {
-            run_level_profiled::<f64>(level, k, &frames, profile)?
+    let mut graphs: Vec<Option<DataflowGraph>> = Vec::new();
+    for level in sweep() {
+        let out = Workload { level, ..w }.run(Single(&frames, instruments))?;
+        let report = out.run;
+        let bottleneck = match &out.profile {
+            Some(p) => p.bottleneck.to_string(),
+            None => String::new(),
         };
-        let bottleneck = prof
-            .as_ref()
-            .map(|p| p.bottleneck.to_string())
-            .unwrap_or_default();
         if !json {
             println!(
                 "{:<6} {:>10.4} {:>10.4} {:>8.1}% {:>8.1}%  {}",
@@ -445,192 +983,130 @@ fn cmd_ladder(args: &[String]) -> Result<(), String> {
                 bottleneck,
             );
         }
-        if prof.is_some() {
-            graphs.push(graph);
+        if let Some(profile) = out.profile {
+            profiles.push(profile);
+            graphs.push(out.graph);
         }
-        profiles.extend(prof);
     }
     if json {
-        println!(
-            "{}",
-            mogpu::json::to_string_pretty(&profiles).map_err(|e| e.to_string())?
-        );
+        println!("{}", pretty(&profiles)?);
     }
-    obs.write_traced(&profiles, &graphs)?;
+    write_profiles(opts, &profiles, &graphs)
+}
+
+/// True when any profile artifact (so profiling) is requested.
+fn profiles_wanted(opts: &Opts) -> bool {
+    OBS.iter().any(|f| opts.has(f.name))
+}
+
+/// Writes the requested profile artifacts of demo / ladder / run /
+/// profile; a report's dataflow graph, when recorded, draws its
+/// cross-launch edges as Chrome-trace flow arrows.
+fn write_profiles(
+    opts: &Opts,
+    reports: &[ProfileReport],
+    graphs: &[Option<DataflowGraph>],
+) -> Result<(), String> {
+    if let Some(path) = opts.get::<PathBuf>("--report-out") {
+        let json = if reports.len() == 1 {
+            pretty(&reports[0])?
+        } else {
+            pretty(&reports.to_vec())?
+        };
+        write_file(&path, json)?;
+        println!("wrote profile report to {}", path.display());
+    }
+    if let Some(path) = opts.get::<PathBuf>("--trace-out") {
+        let mut builder = mogpu::sim::chrome_trace::TraceBuilder::new();
+        for (i, report) in reports.iter().enumerate() {
+            let pid = builder.add_pipeline(&format!("level {}", report.level), &report.schedule);
+            builder.add_counters(pid, &report.telemetry);
+            builder.add_stall_counters(pid, &report.telemetry, &report.stalls);
+            if let Some(Some(graph)) = graphs.get(i) {
+                builder.add_dataflow_flows(pid, &report.schedule, graph);
+            }
+        }
+        write_trace(&path, builder)?;
+    }
+    if let Some(path) = opts.get::<PathBuf>("--metrics-out") {
+        write_file(&path, exposition(reports))?;
+        println!("wrote Prometheus metrics to {}", path.display());
+    }
     Ok(())
 }
 
-fn run_level_profiled<T: mogpu::core::DeviceReal>(
-    level: OptLevel,
-    k: usize,
-    frames: &[Frame<u8>],
-    profile: bool,
-) -> Result<
-    (
-        RunReport,
-        Option<ProfileReport>,
-        Option<mogpu::sim::DataflowGraph>,
-    ),
-    String,
-> {
-    let mut gpu = GpuMog::<T>::new(
-        frames[0].resolution(),
-        MogParams::new(k),
-        level,
-        frames[0].as_slice(),
-        GpuConfig::tesla_c2075(),
-    )
-    .map_err(|e| e.to_string())?;
-    if profile {
-        gpu.set_profile_mode(ProfileMode::On);
-        // Recording is transparent (bit-identical masks and counters);
-        // the graph feeds the Chrome-trace flow arrows.
-        gpu.enable_dataflow();
-    }
-    let run = gpu.process_all(&frames[1..]).map_err(|e| e.to_string())?;
-    let graph = gpu.dataflow_graph();
-    Ok((run, gpu.take_profile_report(), graph))
+fn write_trace(path: &Path, builder: mogpu::sim::chrome_trace::TraceBuilder) -> Result<(), String> {
+    write_file(path, pretty(&builder.finish())?)?;
+    println!(
+        "wrote Chrome trace to {} (load in chrome://tracing or ui.perfetto.dev)",
+        path.display()
+    );
+    Ok(())
 }
 
-/// Observability flags shared by demo / ladder / run / profile / streams.
-struct ObsFlags {
-    report_out: Option<PathBuf>,
-    trace_out: Option<PathBuf>,
-    metrics_out: Option<PathBuf>,
-}
-
-impl ObsFlags {
-    fn parse(args: &[String]) -> Result<ObsFlags, String> {
-        for flag in ["--report-out", "--trace-out", "--metrics-out"] {
-            if opt_flag(args, flag) && opt_value(args, flag).is_none() {
-                return Err(format!("{flag} requires a FILE value"));
-            }
-        }
-        Ok(ObsFlags {
-            report_out: opt_value(args, "--report-out").map(PathBuf::from),
-            trace_out: opt_value(args, "--trace-out").map(PathBuf::from),
-            metrics_out: opt_value(args, "--metrics-out").map(PathBuf::from),
+/// Telemetry plus per-kernel gauges of profiled runs, one pipeline per
+/// report, in Prometheus text format.
+fn exposition(reports: &[ProfileReport]) -> String {
+    let pipelines: Vec<(
+        String,
+        &mogpu::sim::PipelineTelemetry,
+        Option<mogpu::sim::KernelGauges>,
+    )> = reports
+        .iter()
+        .map(|r| {
+            (
+                format!("level {}", r.level),
+                &r.telemetry,
+                Some(mogpu::sim::KernelGauges::new(&r.metrics, &r.occupancy)),
+            )
         })
-    }
-
-    /// True when any output (so profiling) is requested.
-    fn wanted(&self) -> bool {
-        self.report_out.is_some() || self.trace_out.is_some() || self.metrics_out.is_some()
-    }
-
-    /// Writes the requested outputs from the collected reports.
-    fn write(&self, reports: &[ProfileReport]) -> Result<(), String> {
-        self.write_traced(reports, &[])
-    }
-
-    /// Like [`ObsFlags::write`], with a per-report dataflow graph whose
-    /// cross-launch edges become Chrome-trace flow arrows.
-    fn write_traced(
-        &self,
-        reports: &[ProfileReport],
-        graphs: &[Option<mogpu::sim::DataflowGraph>],
-    ) -> Result<(), String> {
-        if let Some(path) = &self.report_out {
-            let json = if reports.len() == 1 {
-                mogpu::json::to_string_pretty(&reports[0]).map_err(|e| e.to_string())?
-            } else {
-                mogpu::json::to_string_pretty(&reports.to_vec()).map_err(|e| e.to_string())?
-            };
-            std::fs::write(path, json).map_err(|e| format!("{}: {e}", path.display()))?;
-            println!("wrote profile report to {}", path.display());
-        }
-        if let Some(path) = &self.trace_out {
-            let mut builder = mogpu::sim::chrome_trace::TraceBuilder::new();
-            for (i, report) in reports.iter().enumerate() {
-                let pid =
-                    builder.add_pipeline(&format!("level {}", report.level), &report.schedule);
-                builder.add_counters(pid, &report.telemetry);
-                builder.add_stall_counters(pid, &report.telemetry, &report.stalls);
-                if let Some(Some(graph)) = graphs.get(i) {
-                    builder.add_dataflow_flows(pid, &report.schedule, graph);
-                }
-            }
-            let json =
-                mogpu::json::to_string_pretty(&builder.finish()).map_err(|e| e.to_string())?;
-            std::fs::write(path, json).map_err(|e| format!("{}: {e}", path.display()))?;
-            println!(
-                "wrote Chrome trace to {} (load in chrome://tracing or ui.perfetto.dev)",
-                path.display()
-            );
-        }
-        if let Some(path) = &self.metrics_out {
-            let pipelines: Vec<(
-                String,
-                &mogpu::sim::PipelineTelemetry,
-                Option<mogpu::sim::KernelGauges>,
-            )> = reports
-                .iter()
-                .map(|r| {
-                    (
-                        format!("level {}", r.level),
-                        &r.telemetry,
-                        Some(mogpu::sim::KernelGauges::new(&r.metrics, &r.occupancy)),
-                    )
-                })
-                .collect();
-            let text = mogpu::sim::telemetry::prometheus(&pipelines);
-            std::fs::write(path, text).map_err(|e| format!("{}: {e}", path.display()))?;
-            println!("wrote Prometheus metrics to {}", path.display());
-        }
-        Ok(())
-    }
+        .collect();
+    mogpu::sim::telemetry::prometheus(&pipelines)
 }
 
-fn cmd_run(args: &[String]) -> Result<(), String> {
-    let input = opt_value(args, "--input").or_else(|| opt_value(args, "-i"));
-    let output = opt_value(args, "--output").or_else(|| opt_value(args, "-o"));
-    let level = parse_level(&opt_value(args, "--level").unwrap_or_else(|| "F".into()))?;
-    let k: usize = opt_value(args, "--k")
-        .map(|v| v.parse().unwrap_or(3))
-        .unwrap_or(3);
-    let use_f32 = opt_flag(args, "--float");
-    let obs = ObsFlags::parse(args)?;
+/// The `--input` Y4M clip of `run` / `profile`, if given (`--frames` then
+/// has no use).
+fn read_input(opts: &Opts) -> Result<Option<Vec<Frame<u8>>>, String> {
+    let Some(input) = opts.get::<String>("--input") else {
+        return Ok(None);
+    };
+    opts.unused(&["--frames"], "with --input")?;
+    let file = std::fs::File::open(&input).map_err(|e| format!("{input}: {e}"))?;
+    let seq = mogpu::frame::read_y4m(file).map_err(|e| format!("{input}: {e}"))?;
+    if seq.len() < 2 {
+        return Err(format!(
+            "{input}: need at least 2 frames (the first seeds the model)"
+        ));
+    }
+    println!("{input}: {} frames at {}", seq.len(), seq.resolution());
+    Ok(Some(seq.into_frames()))
+}
 
-    let frames = match &input {
-        Some(input) => {
-            let file = std::fs::File::open(input).map_err(|e| format!("{input}: {e}"))?;
-            let seq = mogpu::frame::read_y4m(file).map_err(|e| e.to_string())?;
-            if seq.len() < 2 {
-                return Err("need at least 2 frames (the first seeds the model)".into());
-            }
-            println!("{input}: {} frames at {}", seq.len(), seq.resolution());
-            seq.into_frames()
-        }
+fn cmd_run(opts: &Opts) -> Result<(), String> {
+    let w = Workload::new(opts, opts.level());
+    let output = opts.get::<String>("--output");
+
+    let frames = match read_input(opts)? {
+        Some(frames) => frames,
         None => {
             // No capture given: fall back to the synthetic surveillance
             // scene so observability outputs can be exercised standalone.
-            let n_frames: usize = opt_value(args, "--frames")
-                .map(|v| v.parse().unwrap_or(16))
-                .unwrap_or(16)
-                .max(2);
-            let res = Resolution::QQVGA;
-            println!("no --input given: synthetic scene, {n_frames} frames at {res}");
-            SceneBuilder::new(res)
-                .seed(7)
-                .walkers(3)
-                .build()
-                .render_sequence(n_frames)
-                .0
-                .into_frames()
+            println!(
+                "no --input given: synthetic scene, {} frames at {}",
+                w.frames, w.res
+            );
+            w.render()
         }
     };
     let res = frames[0].resolution();
 
-    let (report, prof, graph) = if use_f32 {
-        run_level_profiled::<f32>(level, k, &frames, obs.wanted())?
-    } else {
-        run_level_profiled::<f64>(level, k, &frames, obs.wanted())?
-    };
-    if let Some(profile) = prof {
-        obs.write_traced(&[profile], &[graph])?;
+    let out = w.run(Single(&frames, profiled(profiles_wanted(opts))))?;
+    if let Some(profile) = out.profile {
+        write_profiles(opts, &[profile], &[out.graph])?;
     }
+    let report = out.run;
 
-    println!("level {} results:", level.name());
+    println!("level {} results:", w.level.name());
     println!(
         "  kernel     : {:.3} ms/frame (modelled Tesla C2075)",
         1e3 * report.kernel_time_per_frame()
@@ -646,99 +1122,48 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     );
 
     if let Some(out) = output {
-        let mut mask_seq = FrameSequence::new(res);
-        for m in &report.masks {
-            mask_seq.push(m.clone()).map_err(|e| e.to_string())?;
-        }
-        let f = std::fs::File::create(&out).map_err(|e| format!("{out}: {e}"))?;
-        write_y4m(&mask_seq, 30, f).map_err(|e| e.to_string())?;
+        write_clip(Path::new(&out), res, &report.masks)?;
         println!("wrote {out}");
     }
     Ok(())
 }
 
-fn cmd_profile(args: &[String]) -> Result<(), String> {
-    let level = parse_level(&opt_value(args, "--level").unwrap_or_else(|| "F".into()))?;
-    let n_frames: usize = opt_value(args, "--frames")
-        .map(|v| v.parse().unwrap_or(16))
-        .unwrap_or(16);
-    let k: usize = opt_value(args, "--k")
-        .map(|v| v.parse().unwrap_or(3))
-        .unwrap_or(3);
-    let use_f32 = opt_flag(args, "--float");
-    let top: usize = opt_value(args, "--top")
-        .map(|v| v.parse().unwrap_or(10))
-        .unwrap_or(10);
-    let obs = ObsFlags::parse(args)?;
+fn cmd_profile(opts: &Opts) -> Result<(), String> {
+    let w = Workload::new(opts, opts.level());
+    let top: usize = opts.req("--top");
 
-    let frames = match opt_value(args, "--input").or_else(|| opt_value(args, "-i")) {
-        Some(input) => {
-            let file = std::fs::File::open(&input).map_err(|e| format!("{input}: {e}"))?;
-            let seq = mogpu::frame::read_y4m(file).map_err(|e| e.to_string())?;
-            if seq.len() < 2 {
-                return Err("need at least 2 frames (the first seeds the model)".into());
-            }
-            println!("{input}: {} frames at {}", seq.len(), seq.resolution());
-            seq.into_frames()
-        }
-        None => SceneBuilder::new(Resolution::QQVGA)
-            .seed(7)
-            .walkers(3)
-            .build()
-            .render_sequence(n_frames)
-            .0
-            .into_frames(),
+    let frames = match read_input(opts)? {
+        Some(frames) => frames,
+        None => w.render(),
     };
-
-    let (_, prof, graph) = if use_f32 {
-        run_level_profiled::<f32>(level, k, &frames, true)?
-    } else {
-        run_level_profiled::<f64>(level, k, &frames, true)?
-    };
-    let profile = prof.expect("profiling was enabled");
+    let out = w.run(Single(&frames, profiled(true)))?;
+    let profile = out.profile.expect("profiling was enabled");
     print!("{}", profile.text(top));
-    obs.write_traced(&[profile], &[graph])?;
-    Ok(())
+    write_profiles(opts, &[profile], &[out.graph])
 }
 
-fn cmd_advise(args: &[String]) -> Result<(), String> {
-    if let Some(path) = opt_value(args, "--fleet-report") {
-        return cmd_advise_fleet(&PathBuf::from(path), opt_flag(args, "--json"));
+fn cmd_advise(opts: &Opts) -> Result<(), String> {
+    let json = opts.has("--json");
+    if let Some(path) = opts.get::<PathBuf>("--fleet-report") {
+        let workload = ["--level", "--frames", "--k", "--float", "--tpb", "--top"];
+        opts.unused(&workload, "with --fleet-report")?;
+        return cmd_advise_fleet(&path, json);
     }
-    let level = parse_level(&opt_value(args, "--level").unwrap_or_else(|| "A".into()))?;
-    let n_frames: usize = opt_value(args, "--frames")
-        .map(|v| v.parse().unwrap_or(16))
-        .unwrap_or(16)
-        .max(2);
-    let k: usize = opt_value(args, "--k")
-        .map(|v| v.parse().unwrap_or(3))
-        .unwrap_or(3);
-    let use_f32 = opt_flag(args, "--float");
-    let json = opt_flag(args, "--json");
-    let top: usize = opt_value(args, "--top")
-        .map(|v| v.parse().unwrap_or(10))
-        .unwrap_or(10)
-        .max(1);
-    let tpb: Option<u32> = match opt_value(args, "--tpb") {
-        Some(v) => Some(v.parse().map_err(|_| format!("bad --tpb {v:?}"))?),
-        None => None,
-    };
+    let w = Workload::new(opts, opts.level());
+    let top: usize = opts.req("--top");
+    let level = w.level;
 
-    let frames = SceneBuilder::new(Resolution::QQVGA)
-        .seed(7)
-        .walkers(3)
-        .build()
-        .render_sequence(n_frames)
-        .0
-        .into_frames();
-    let result = if use_f32 {
-        advise_run::<f32>(level, k, tpb, &frames)
-    } else {
-        advise_run::<f64>(level, k, tpb, &frames)
+    let frames = w.render();
+    // The dataflow graph lets the advisor see producer->consumer byte
+    // overlap (the kernel-fusion rule).
+    let instruments = Instruments {
+        morphology: true,
+        tpb: opts.get("--tpb"),
+        ..profiled(true)
     };
-    let profile = match result {
-        Ok(profile) => profile,
-        Err(mogpu::core::PipelineError::Launch(e)) => {
+    let profile = match w.try_run(Single(&frames, instruments)) {
+        Ok(out) => out.profile.expect("profiling was enabled"),
+        Err(PipelineError::Launch(e)) => {
             // The kernel never became resident: emit the structured
             // diagnostic the rules engine defines for this case, then
             // exit nonzero (invalid input, not a finding).
@@ -750,10 +1175,7 @@ fn cmd_advise(args: &[String]) -> Result<(), String> {
                     "error": e.to_string(),
                     "advisories": [advisory],
                 });
-                println!(
-                    "{}",
-                    mogpu::json::to_string_pretty(&doc).map_err(|e| e.to_string())?
-                );
+                println!("{}", pretty(&doc)?);
             } else {
                 println!("advisor — level {}: kernel is unlaunchable", level.name());
                 print_advisory(1, &advisory);
@@ -776,18 +1198,16 @@ fn cmd_advise(args: &[String]) -> Result<(), String> {
             "dma_starvation_s": profile.dma_starvation,
             "advisories": advisories,
         });
-        println!(
-            "{}",
-            mogpu::json::to_string_pretty(&doc).map_err(|e| e.to_string())?
-        );
+        println!("{}", pretty(&doc)?);
         return Ok(());
     }
 
     println!(
-        "advisor — level {}, {} frames, K={k}, {}",
+        "advisor — level {}, {} frames, K={}, {}",
         level.name(),
         profile.frames,
-        if use_f32 { "float" } else { "double" }
+        w.k,
+        w.precision()
     );
     println!("  bottleneck : {}", profile.bottleneck);
     let roof = &profile.roofline;
@@ -826,15 +1246,9 @@ fn cmd_advise(args: &[String]) -> Result<(), String> {
 
 /// `mogpu advise --fleet-report FILE.json`: replay the fleet dispatcher
 /// from a recorded report and rank the device classes to add next.
-fn cmd_advise_fleet(path: &PathBuf, json: bool) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let doc: mogpu::json::Value =
-        mogpu::json::from_str(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    // Accept either a `mogpu fleet --report-out` document (fleet report
-    // under the "report" key) or a bare fleet report.
-    let value = doc.get("report").unwrap_or(&doc);
-    let report = <mogpu::sim::fleet::FleetReport as serde::Deserialize>::from_json_value(value)
-        .map_err(|e| format!("{}: not a fleet report: {e}", path.display()))?;
+fn cmd_advise_fleet(path: &Path, json: bool) -> Result<(), String> {
+    // A `mogpu fleet --report-out` document or a bare fleet report.
+    let report: mogpu::sim::fleet::FleetReport = read_report(path, "report", "fleet")?;
     let advisories = mogpu::sim::fleet::advise_fleet(&report);
     if json {
         let doc = mogpu::json::json!({
@@ -845,10 +1259,7 @@ fn cmd_advise_fleet(path: &PathBuf, json: bool) -> Result<(), String> {
             "frames_dropped": report.frames_dropped(),
             "advisories": advisories,
         });
-        println!(
-            "{}",
-            mogpu::json::to_string_pretty(&doc).map_err(|e| e.to_string())?
-        );
+        println!("{}", pretty(&doc)?);
         return Ok(());
     }
     println!(
@@ -897,292 +1308,241 @@ fn print_advisory(rank: usize, a: &mogpu::sim::Advisory) {
     }
 }
 
-fn advise_run<T: mogpu::core::DeviceReal>(
-    level: OptLevel,
-    k: usize,
-    tpb: Option<u32>,
-    frames: &[Frame<u8>],
-) -> Result<ProfileReport, mogpu::core::PipelineError> {
-    let mut gpu = GpuMog::<T>::new(
-        frames[0].resolution(),
-        MogParams::new(k),
-        level,
-        frames[0].as_slice(),
-        GpuConfig::tesla_c2075(),
-    )?;
-    if let Some(t) = tpb {
-        gpu.set_threads_per_block(t);
-    }
-    gpu.set_profile_mode(ProfileMode::On);
-    // Record the cross-kernel dataflow graph alongside the profile so
-    // the advisor can see producer->consumer byte overlap. Morphology
-    // gives the MoG kernel a downstream consumer, as in the paper's
-    // full pipeline; per-kernel metrics are unaffected.
-    gpu.enable_dataflow();
-    gpu.enable_morphology()?;
-    gpu.process_all(&frames[1..])?;
-    Ok(gpu.take_profile_report().expect("profiling was enabled"))
-}
-
-fn cmd_diff(args: &[String]) -> Result<(), String> {
-    // Strict surface like `dataflow`: exactly two positional report
-    // paths, reject unknown flags instead of silently ignoring typos.
-    let valued = ["--top", "--out", "--dot-out", "--metrics-out", "--config"];
-    let bare = ["--json"];
-    let mut paths: Vec<PathBuf> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = args[i].as_str();
-        if valued.contains(&a) {
-            if args.get(i + 1).is_none() {
-                return Err(format!("{a} needs a value"));
-            }
-            i += 2;
-        } else if bare.contains(&a) {
-            i += 1;
-        } else if a.starts_with('-') {
-            return Err(format!("unknown diff option {a:?}; try `mogpu help`"));
-        } else {
-            paths.push(PathBuf::from(a));
-            i += 1;
-        }
-    }
-    if paths.len() != 2 {
-        return Err(format!(
-            "diff needs exactly two report files, got {} (usage: mogpu diff A.json B.json)",
-            paths.len()
-        ));
-    }
-    let json = opt_flag(args, "--json");
-    let top: usize = match opt_value(args, "--top") {
-        Some(v) => v.parse().map_err(|_| format!("bad --top {v:?}"))?,
-        None => 10,
+fn cmd_diff(opts: &Opts) -> Result<(), String> {
+    let [a_path, b_path] = opts.files.as_slice() else {
+        unreachable!("diff takes exactly two files")
     };
-    let cfg = match opt_value(args, "--config") {
-        Some(name) => GpuConfig::preset(&name).ok_or_else(|| {
-            format!(
-                "unknown --config {name:?}; presets: {}",
-                GpuConfig::preset_names().join(", ")
-            )
-        })?,
-        None => GpuConfig::tesla_c2075(),
-    };
+    let top: usize = opts.req("--top");
+    let config: String = opts.req("--config");
+    let cfg = GpuConfig::preset(&config).ok_or_else(|| {
+        format!(
+            "unknown --config {config:?}; presets: {}",
+            GpuConfig::preset_names().join(", ")
+        )
+    })?;
 
-    let load = |path: &PathBuf| -> Result<mogpu::json::Value, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        mogpu::json::from_str(&text).map_err(|e| format!("{}: {e}", path.display()))
-    };
-    let (a, b) = (load(&paths[0])?, load(&paths[1])?);
-    let label = |p: &PathBuf| p.display().to_string();
-    let report = mogpu::sim::diff_values(&a, &b, &label(&paths[0]), &label(&paths[1]), &cfg)?;
+    let (a, b) = (read_json(a_path)?, read_json(b_path)?);
+    let (a_label, b_label) = (a_path.display().to_string(), b_path.display().to_string());
+    let report = mogpu::sim::diff_values(&a, &b, &a_label, &b_label, &cfg)
+        .map_err(|e| format!("diff {a_label} {b_label}: {e}"))?;
+    let dot_out = opts.get::<PathBuf>("--dot-out");
+    if dot_out.is_some() && report.dataflow.is_none() {
+        return Err(
+            "--dot-out needs two dataflow graph documents (`mogpu dataflow --json`)".into(),
+        );
+    }
 
-    if let Some(path) = opt_value(args, "--out").map(PathBuf::from) {
-        let text = mogpu::json::to_string_canonical_pretty(&report).map_err(|e| e.to_string())?;
-        std::fs::write(&path, text + "\n").map_err(|e| format!("{}: {e}", path.display()))?;
+    if let Some(path) = opts.get::<PathBuf>("--out") {
+        write_file(&path, canonical(&report)? + "\n")?;
         eprintln!("wrote diff report to {}", path.display());
     }
-    if let Some(path) = opt_value(args, "--dot-out").map(PathBuf::from) {
-        let Some(df) = &report.dataflow else {
-            return Err(
-                "--dot-out needs two dataflow graph documents (`mogpu dataflow --json`)".into(),
-            );
-        };
-        std::fs::write(&path, df.to_dot()).map_err(|e| format!("{}: {e}", path.display()))?;
+    if let (Some(path), Some(df)) = (dot_out, &report.dataflow) {
+        write_file(&path, df.to_dot())?;
         eprintln!("wrote dataflow diff overlay to {}", path.display());
     }
-    if let Some(path) = opt_value(args, "--metrics-out").map(PathBuf::from) {
-        std::fs::write(&path, report.prometheus(top))
-            .map_err(|e| format!("{}: {e}", path.display()))?;
+    if let Some(path) = opts.get::<PathBuf>("--metrics-out") {
+        write_file(&path, report.prometheus(top))?;
         eprintln!("wrote diff metrics to {}", path.display());
     }
-    if json {
-        println!(
-            "{}",
-            mogpu::json::to_string_canonical_pretty(&report).map_err(|e| e.to_string())?
-        );
+    if opts.has("--json") {
+        println!("{}", canonical(&report)?);
     } else {
         print!("{}", report.text(top));
     }
     Ok(())
 }
 
-fn cmd_dataflow(args: &[String]) -> Result<(), String> {
-    // New command, strict surface: reject anything unrecognized instead
-    // of silently ignoring a typo'd flag.
-    let valued = ["--level", "--frames", "--k", "--dot-out", "--metrics-out"];
-    let bare = ["--float", "--json"];
-    let mut i = 0;
-    while i < args.len() {
-        let a = args[i].as_str();
-        if valued.contains(&a) {
-            if args.get(i + 1).is_none() {
-                return Err(format!("{a} needs a value"));
-            }
-            i += 2;
-        } else if bare.contains(&a) {
-            i += 1;
-        } else {
-            return Err(format!("unknown dataflow option {a:?}; try `mogpu help`"));
-        }
-    }
+fn cmd_dataflow(opts: &Opts) -> Result<(), String> {
+    let w = Workload::new(opts, opts.level());
+    let dot_out = opts.get::<PathBuf>("--dot-out");
+    let metrics_out = opts.get::<PathBuf>("--metrics-out");
 
-    let level = parse_level(&opt_value(args, "--level").unwrap_or_else(|| "F".into()))?;
-    let n_frames: usize = opt_value(args, "--frames")
-        .map(|v| v.parse().unwrap_or(16))
-        .unwrap_or(16)
-        .max(2);
-    let k: usize = opt_value(args, "--k")
-        .map(|v| v.parse().unwrap_or(3))
-        .unwrap_or(3);
-    let use_f32 = opt_flag(args, "--float");
-    let json = opt_flag(args, "--json");
-    let dot_out = opt_value(args, "--dot-out").map(PathBuf::from);
-    let metrics_out = opt_value(args, "--metrics-out").map(PathBuf::from);
-
-    let frames = SceneBuilder::new(Resolution::QQVGA)
-        .seed(7)
-        .walkers(3)
-        .build()
-        .render_sequence(n_frames)
-        .0
-        .into_frames();
-    let graph = if use_f32 {
-        dataflow_run::<f32>(level, k, &frames)
-    } else {
-        dataflow_run::<f64>(level, k, &frames)
-    }
-    .map_err(|e| e.to_string())?;
+    let frames = w.render();
+    let instruments = Instruments {
+        dataflow: true,
+        morphology: true,
+        ..Instruments::default()
+    };
+    let out = w.run(Single(&frames, instruments))?;
+    let graph = out.graph.expect("dataflow was enabled");
 
     if let Some(path) = &dot_out {
-        std::fs::write(path, graph.to_dot()).map_err(|e| format!("{}: {e}", path.display()))?;
+        write_file(path, graph.to_dot())?;
         println!("wrote dataflow DOT to {}", path.display());
     }
     if let Some(path) = &metrics_out {
-        std::fs::write(path, graph.prometheus()).map_err(|e| format!("{}: {e}", path.display()))?;
+        write_file(path, graph.prometheus())?;
         println!("wrote dataflow Prometheus counters to {}", path.display());
     }
-    if json {
-        println!(
-            "{}",
-            mogpu::json::to_string_canonical_pretty(&graph.to_json()).map_err(|e| e.to_string())?
-        );
+    if opts.has("--json") {
+        println!("{}", canonical(&graph.to_json())?);
     } else if dot_out.is_none() {
         print!("{}", graph.to_dot());
     }
     Ok(())
 }
 
-fn dataflow_run<T: mogpu::core::DeviceReal>(
-    level: OptLevel,
-    k: usize,
-    frames: &[Frame<u8>],
-) -> Result<mogpu::sim::DataflowGraph, mogpu::core::PipelineError> {
-    let mut gpu = GpuMog::<T>::new(
-        frames[0].resolution(),
-        MogParams::new(k),
-        level,
-        frames[0].as_slice(),
-        GpuConfig::tesla_c2075(),
-    )?;
-    gpu.enable_dataflow();
-    gpu.enable_morphology()?;
-    gpu.process_all(&frames[1..])?;
-    Ok(gpu.dataflow_graph().expect("dataflow was enabled"))
+/// The serving flags `streams` and `fleet` share.
+struct Serving {
+    buffers: usize,
+    fps: f64,
+    slo: SloConfig,
+    window_s: f64,
+    events_out: Option<PathBuf>,
+    /// The `--serve-metrics` address; the replay flags need one.
+    serve_addr: Option<String>,
 }
 
-fn cmd_streams(args: &[String]) -> Result<(), String> {
-    let n_streams: usize = opt_value(args, "--streams")
-        .map(|v| v.parse().unwrap_or(4))
-        .unwrap_or(4)
-        .max(1);
-    let n_frames: usize = opt_value(args, "--frames")
-        .map(|v| v.parse().unwrap_or(16))
-        .unwrap_or(16)
-        .max(2);
-    let level = parse_level(&opt_value(args, "--level").unwrap_or_else(|| "F".into()))?;
-    let k: usize = opt_value(args, "--k")
-        .map(|v| v.parse().unwrap_or(3))
-        .unwrap_or(3);
-    let use_f32 = opt_flag(args, "--float");
-    let buffers: usize = opt_value(args, "--buffers")
-        .map(|v| v.parse().unwrap_or(2))
-        .unwrap_or(2);
-    let fps: f64 = opt_value(args, "--fps")
-        .map(|v| v.parse().unwrap_or(0.0))
-        .unwrap_or(0.0);
-    let json = opt_flag(args, "--json");
-    let slo_ms: f64 = opt_value(args, "--slo-ms")
-        .map(|v| v.parse().unwrap_or(40.0))
-        .unwrap_or(40.0);
-    let error_budget: f64 = opt_value(args, "--error-budget")
-        .map(|v| v.parse().unwrap_or(0.01))
-        .unwrap_or(0.01);
-    let slo = mogpu::sim::serving::SloConfig {
-        deadline_s: slo_ms.max(0.0) / 1e3,
-        error_budget: error_budget.max(0.0),
-    };
-    let window_ms: f64 = opt_value(args, "--window-ms")
-        .map(|v| v.parse().unwrap_or(0.0))
-        .unwrap_or(0.0);
-    let window_s = window_ms.max(0.0) / 1e3;
-    let events_out = opt_value(args, "--events-out").map(PathBuf::from);
-    let serve_addr = opt_value(args, "--serve-metrics");
-    let serve_seconds: f64 = opt_value(args, "--serve-seconds")
-        .map(|v| v.parse().unwrap_or(0.0))
-        .unwrap_or(0.0);
-    let replay_s = parse_replay_s(args)?;
-    let obs = ObsFlags::parse(args)?;
+impl Serving {
+    fn new(opts: &Opts) -> Result<Serving, String> {
+        let serve_addr = opts.get("--serve-metrics");
+        if serve_addr.is_none() {
+            let replay = ["--serve-seconds", "--replay-ms"];
+            opts.unused(&replay, "without --serve-metrics")?;
+        }
+        Ok(Serving {
+            buffers: opts.req("--buffers"),
+            fps: opts.req("--fps"),
+            slo: SloConfig {
+                deadline_s: opts.req::<f64>("--slo-ms") / 1e3,
+                error_budget: opts.req("--error-budget"),
+            },
+            window_s: opts.req::<f64>("--window-ms") / 1e3,
+            events_out: opts.get("--events-out"),
+            serve_addr,
+        })
+    }
 
-    // One distinct synthetic scene per camera.
-    let res = Resolution::QQVGA;
-    let scenes: Vec<Vec<Frame<u8>>> = (0..n_streams)
-        .map(|s| {
-            SceneBuilder::new(res)
-                .seed(100 + s as u64)
-                .walkers(2 + s % 3)
-                .build()
-                .render_sequence(n_frames)
-                .0
-                .into_frames()
+    fn arrivals(&self) -> String {
+        if self.fps > 0.0 {
+            format!(", arrivals at {:.0} fps", self.fps)
+        } else {
+            ", offline".into()
+        }
+    }
+
+    /// A `streams` / `fleet` JSON document: the run-shape header both
+    /// share, then `body`'s fields.
+    fn document(&self, w: &Workload, streams: usize, body: Value) -> Value {
+        let header = mogpu::json::json!({
+            "streams": streams,
+            "frames_per_stream": w.frames - 1,
+            "level": w.level.name(),
+            "buffers_per_stream": self.buffers,
+            "arrival_fps": self.fps,
+            "slo_deadline_ms": 1e3 * self.slo.deadline_s,
+            "slo_error_budget": self.slo.error_budget,
+        });
+        match (header, body) {
+            (Value::Object(mut fields), Value::Object(rest)) => {
+                fields.extend(rest);
+                Value::Object(fields)
+            }
+            _ => unreachable!("json! objects are objects"),
+        }
+    }
+
+    /// Writes the JSONL event log when `--events-out` asks for it.
+    fn write_events(&self, events: &[ServingEvent]) -> Result<(), String> {
+        let Some(path) = &self.events_out else {
+            return Ok(());
+        };
+        let mut writer = mogpu::sim::serving::EventLogWriter::create(path)
+            .map_err(|e| format!("{}: {e}", path.display()))?;
+        writer
+            .write_events(events)
+            .and_then(|()| writer.flush())
+            .map_err(|e| format!("{}: {e}", path.display()))?;
+        println!(
+            "wrote {} serving events to {}",
+            events.len(),
+            path.display()
+        );
+        Ok(())
+    }
+}
+
+/// Binds the scrape endpoint with `bind(addr, replay interval)` and
+/// serves snapshot replays for `--serve-seconds` (0 = forever).
+fn serve(
+    opts: &Opts,
+    addr: &str,
+    bind: impl FnOnce(&str, f64) -> std::io::Result<MetricsServer>,
+) -> Result<(), String> {
+    let seconds: f64 = opts.req("--serve-seconds");
+    let server = bind(addr, opts.req::<f64>("--replay-ms") / 1e3)
+        .map_err(|e| format!("bind {addr}: {e}"))?;
+    println!(
+        "serving /metrics on http://{} ({})",
+        server.local_addr(),
+        if seconds > 0.0 {
+            format!("for {seconds:.0} s")
+        } else {
+            "until interrupted".into()
+        }
+    );
+    let handled = server
+        .serve_for(seconds)
+        .map_err(|e| format!("serve: {e}"))?;
+    println!("served {handled} request(s)");
+    Ok(())
+}
+
+fn cmd_streams(opts: &Opts) -> Result<(), String> {
+    let n_streams: usize = opts.req("--streams");
+    let w = Workload::new(opts, opts.level());
+    let serving = Serving::new(opts)?;
+
+    let cameras = w.cameras(n_streams);
+    let report = w.run(Streams(&cameras, &serving))?;
+    let per_stream: Vec<Value> = report
+        .per_stream
+        .iter()
+        .enumerate()
+        .map(|(s, r)| {
+            mogpu::json::json!({
+                "stream": s,
+                "frames": r.frames,
+                "kernel_s": r.kernel_time_total,
+                "latency_mean_ms": 1e3 * r.latency.mean,
+                "latency_p50_ms": 1e3 * r.latency.p50,
+                "latency_p95_ms": 1e3 * r.latency.p95,
+                "latency_p99_ms": 1e3 * r.latency.p99,
+                "latency_p999_ms": 1e3 * r.latency.p999,
+                "latency_max_ms": 1e3 * r.latency.max,
+                "slo_violations": report.serving.streams[s].slo_violations,
+                "completion_s": r.completion,
+                "fps": r.fps,
+            })
         })
         .collect();
-    let report = if use_f32 {
-        run_streams::<f32>(&scenes, level, k, buffers, fps, slo, window_s)?
-    } else {
-        run_streams::<f64>(&scenes, level, k, buffers, fps, slo, window_s)?
-    };
-
-    let doc = streams_json_doc(&report, n_streams, n_frames, level, buffers, fps, slo);
-    if json {
-        println!(
-            "{}",
-            mogpu::json::to_string_pretty(&doc).map_err(|e| e.to_string())?
-        );
+    // Aggregate and per-stream latency summaries (exact percentiles) and
+    // the full serving report (SLO accounting, windowed snapshots, events).
+    let doc = serving.document(
+        &w,
+        n_streams,
+        mogpu::json::json!({
+            "total_frames": report.total_frames,
+            "makespan_s": report.makespan,
+            "aggregate_fps": report.aggregate_fps,
+            "kernel_utilization": report.kernel_utilization,
+            "streams_at_slo": report.serving.streams_at_slo(),
+            "slo_violations_total": report.serving.total_violations(),
+            "per_stream": per_stream,
+            "serving": report.serving,
+        }),
+    );
+    if opts.has("--json") {
+        println!("{}", pretty(&doc)?);
     } else {
         println!(
             "{n_streams} streams x {} frames, level {}, {} buffers/stream{}",
-            n_frames - 1,
-            level.name(),
-            buffers.max(1),
-            if fps > 0.0 {
-                format!(", arrivals at {fps:.0} fps")
-            } else {
-                ", offline".into()
-            }
+            w.frames - 1,
+            w.level.name(),
+            serving.buffers,
+            serving.arrivals()
         );
-        println!(
-            "{:<8} {:>7} {:>10} {:>9} {:>9} {:>9} {:>9} {:>6} {:>10} {:>9}",
-            "stream",
-            "frames",
-            "mean ms",
-            "p50 ms",
-            "p95 ms",
-            "p99 ms",
-            "max ms",
-            "viol",
-            "done s",
-            "fps"
-        );
+        println!("stream    frames    mean ms    p50 ms    p95 ms    p99 ms    max ms   viol     done s       fps");
         for (s, r) in report.per_stream.iter().enumerate() {
             println!(
                 "{:<8} {:>7} {:>10.3} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>6} {:>10.4} {:>9.1}",
@@ -1207,7 +1567,7 @@ fn cmd_streams(args: &[String]) -> Result<(), String> {
         );
         println!(
             "slo: {:.1} ms deadline, {}/{} streams at SLO, {} violation(s), {} windows of {:.1} ms",
-            1e3 * slo.deadline_s,
+            1e3 * serving.slo.deadline_s,
             report.serving.streams_at_slo(),
             n_streams,
             report.serving.total_violations(),
@@ -1216,139 +1576,39 @@ fn cmd_streams(args: &[String]) -> Result<(), String> {
         );
     }
 
-    if let Some(path) = &events_out {
-        let mut writer = mogpu::sim::serving::EventLogWriter::create(path)
-            .map_err(|e| format!("{}: {e}", path.display()))?;
-        writer
-            .write_events(&report.serving.events)
-            .and_then(|()| writer.flush())
-            .map_err(|e| format!("{}: {e}", path.display()))?;
-        println!(
-            "wrote {} serving events to {}",
-            report.serving.events.len(),
-            path.display()
-        );
-    }
-    if let Some(path) = &obs.report_out {
-        let text = mogpu::json::to_string_pretty(&doc).map_err(|e| e.to_string())?;
-        std::fs::write(path, text).map_err(|e| format!("{}: {e}", path.display()))?;
+    serving.write_events(&report.serving.events)?;
+    if let Some(path) = opts.get::<PathBuf>("--report-out") {
+        write_file(&path, pretty(&doc)?)?;
         println!("wrote multi-stream report to {}", path.display());
     }
-
-    if let Some(path) = &obs.trace_out {
+    // Stream aggregates have no single-kernel identity, so no kernel gauges.
+    let label = format!("{n_streams} streams, level {}", w.level.name());
+    if let Some(path) = opts.get::<PathBuf>("--trace-out") {
         let mut builder = mogpu::sim::chrome_trace::TraceBuilder::new();
-        let pid = builder.add_multi_stream(
-            &format!("{n_streams} streams, level {}", level.name()),
-            &report.schedule,
-        );
+        let pid = builder.add_multi_stream(&label, &report.schedule);
         builder.add_counters(pid, &report.telemetry);
-        let json = mogpu::json::to_string_pretty(&builder.finish()).map_err(|e| e.to_string())?;
-        std::fs::write(path, json).map_err(|e| format!("{}: {e}", path.display()))?;
-        println!(
-            "wrote Chrome trace to {} (load in chrome://tracing or ui.perfetto.dev)",
-            path.display()
-        );
+        write_trace(&path, builder)?;
     }
-    if let Some(path) = &obs.metrics_out {
-        // Stream aggregates have no single-kernel identity, so no kernel gauges.
-        let label = format!("{n_streams} streams, level {}", level.name());
-        let text = mogpu::sim::telemetry::prometheus(&[(label, &report.telemetry, None)]);
-        std::fs::write(path, text).map_err(|e| format!("{}: {e}", path.display()))?;
+    let telemetry =
+        || mogpu::sim::telemetry::prometheus(&[(label.clone(), &report.telemetry, None)]);
+    if let Some(path) = opts.get::<PathBuf>("--metrics-out") {
+        write_file(&path, telemetry())?;
         println!("wrote Prometheus metrics to {}", path.display());
     }
-    if let Some(addr) = &serve_addr {
-        let label = format!("{n_streams} streams, level {}", level.name());
-        let extra = mogpu::sim::telemetry::prometheus(&[(label, &report.telemetry, None)]);
-        serve_metrics(report.serving, addr, replay_s, serve_seconds, extra)?;
+    if let Some(addr) = &serving.serve_addr {
+        let extra = telemetry();
+        serve(opts, addr, |addr, replay_s| {
+            Ok(MetricsServer::bind(addr, report.serving, replay_s)?.with_extra_exposition(extra))
+        })?;
     }
     Ok(())
 }
 
-/// Machine-readable multi-stream report document: run shape, aggregate
-/// and per-stream latency summaries (with exact percentiles), and the
-/// full serving report (SLO accounting, windowed snapshots, event log).
-fn streams_json_doc(
-    report: &MultiStreamReport,
-    n_streams: usize,
-    n_frames: usize,
-    level: OptLevel,
-    buffers: usize,
-    fps: f64,
-    slo: mogpu::sim::serving::SloConfig,
-) -> mogpu::json::Value {
-    let streams: Vec<mogpu::json::Value> = report
-        .per_stream
-        .iter()
-        .enumerate()
-        .map(|(s, r)| {
-            mogpu::json::json!({
-                "stream": s,
-                "frames": r.frames,
-                "kernel_s": r.kernel_time_total,
-                "latency_mean_ms": 1e3 * r.latency.mean,
-                "latency_p50_ms": 1e3 * r.latency.p50,
-                "latency_p95_ms": 1e3 * r.latency.p95,
-                "latency_p99_ms": 1e3 * r.latency.p99,
-                "latency_p999_ms": 1e3 * r.latency.p999,
-                "latency_max_ms": 1e3 * r.latency.max,
-                "slo_violations": report.serving.streams[s].slo_violations,
-                "completion_s": r.completion,
-                "fps": r.fps,
-            })
-        })
-        .collect();
-    mogpu::json::json!({
-        "streams": n_streams,
-        "frames_per_stream": n_frames - 1,
-        "level": level.name(),
-        "buffers_per_stream": buffers.max(1),
-        "arrival_fps": fps,
-        "slo_deadline_ms": 1e3 * slo.deadline_s,
-        "slo_error_budget": slo.error_budget,
-        "total_frames": report.total_frames,
-        "makespan_s": report.makespan,
-        "aggregate_fps": report.aggregate_fps,
-        "kernel_utilization": report.kernel_utilization,
-        "streams_at_slo": report.serving.streams_at_slo(),
-        "slo_violations_total": report.serving.total_violations(),
-        "per_stream": streams,
-        "serving": report.serving,
-    })
-}
-
-/// Binds the scrape endpoint and serves snapshot replays until the
-/// duration elapses (0 = forever).
-fn serve_metrics(
-    serving: mogpu::sim::serving::ServingReport,
-    addr: &str,
-    replay_s: f64,
-    serve_seconds: f64,
-    extra_exposition: String,
-) -> Result<(), String> {
-    let server = mogpu::serve::MetricsServer::bind(addr, serving, replay_s)
-        .map_err(|e| format!("bind {addr}: {e}"))?
-        .with_extra_exposition(extra_exposition);
-    println!(
-        "serving /metrics on http://{} ({})",
-        server.local_addr(),
-        if serve_seconds > 0.0 {
-            format!("for {serve_seconds:.0} s")
-        } else {
-            "until interrupted".into()
-        }
-    );
-    let handled = server
-        .serve_for(serve_seconds)
-        .map_err(|e| format!("serve: {e}"))?;
-    println!("served {handled} request(s)");
-    Ok(())
-}
-
-fn cmd_fleet(args: &[String]) -> Result<(), String> {
-    let devices_arg = opt_value(args, "--devices").unwrap_or_else(|| "c2075,embedded,hbm".into());
-    let keys: Vec<String> = devices_arg
+fn cmd_fleet(opts: &Opts) -> Result<(), String> {
+    let devices: String = opts.req("--devices");
+    let keys: Vec<&str> = devices
         .split(',')
-        .map(|k| k.trim().to_string())
+        .map(str::trim)
         .filter(|k| !k.is_empty())
         .collect();
     if keys.is_empty() {
@@ -1357,125 +1617,47 @@ fn cmd_fleet(args: &[String]) -> Result<(), String> {
             GpuConfig::preset_names().join(", ")
         ));
     }
-    let key_refs: Vec<&str> = keys.iter().map(String::as_str).collect();
-    let n_streams: usize = opt_value(args, "--streams")
-        .map(|v| v.parse().unwrap_or(4))
-        .unwrap_or(4)
-        .max(1);
-    let n_frames: usize = opt_value(args, "--frames")
-        .map(|v| v.parse().unwrap_or(12))
-        .unwrap_or(12)
-        .max(2);
-    let level = parse_level(&opt_value(args, "--level").unwrap_or_else(|| "F".into()))?;
-    let k: usize = opt_value(args, "--k")
-        .map(|v| v.parse().unwrap_or(3))
-        .unwrap_or(3);
-    let use_f32 = opt_flag(args, "--float");
-    let buffers: usize = opt_value(args, "--buffers")
-        .map(|v| v.parse().unwrap_or(2))
-        .unwrap_or(2);
-    let fps: f64 = opt_value(args, "--fps")
-        .map(|v| v.parse().unwrap_or(0.0))
-        .unwrap_or(0.0);
-    let json = opt_flag(args, "--json");
-    let slo_ms: f64 = opt_value(args, "--slo-ms")
-        .map(|v| v.parse().unwrap_or(40.0))
-        .unwrap_or(40.0);
-    let error_budget: f64 = opt_value(args, "--error-budget")
-        .map(|v| v.parse().unwrap_or(0.01))
-        .unwrap_or(0.01);
-    let slo = mogpu::sim::serving::SloConfig {
-        deadline_s: slo_ms.max(0.0) / 1e3,
-        error_budget: error_budget.max(0.0),
-    };
-    let window_ms: f64 = opt_value(args, "--window-ms")
-        .map(|v| v.parse().unwrap_or(0.0))
-        .unwrap_or(0.0);
-    let window_s = window_ms.max(0.0) / 1e3;
-    let headroom: f64 = opt_value(args, "--headroom")
-        .map(|v| v.parse().unwrap_or(1.0))
-        .unwrap_or(1.0);
-    let device_mem: Option<usize> = match opt_value(args, "--device-mem-mb") {
-        Some(v) => {
-            let mb: f64 = v
-                .parse()
-                .map_err(|_| format!("bad --device-mem-mb {v:?}"))?;
-            if !mb.is_finite() || mb < 0.0 {
-                return Err(format!("--device-mem-mb must be >= 0, got {v:?}"));
-            }
-            Some((mb * 1024.0 * 1024.0) as usize)
-        }
-        None => None,
-    };
-    let events_out = opt_value(args, "--events-out").map(PathBuf::from);
-    let serve_addr = opt_value(args, "--serve-metrics");
-    let serve_seconds: f64 = opt_value(args, "--serve-seconds")
-        .map(|v| v.parse().unwrap_or(0.0))
-        .unwrap_or(0.0);
-    let replay_s = parse_replay_s(args)?;
-    let obs = ObsFlags::parse(args)?;
+    let n_streams: usize = opts.req("--streams");
+    let w = Workload::new(opts, opts.level());
+    let serving = Serving::new(opts)?;
+    let report_out = opts.get::<PathBuf>("--report-out");
 
-    // One distinct synthetic scene per camera, as in `mogpu streams`.
-    let res = Resolution::QQVGA;
-    let scenes: Vec<Vec<Frame<u8>>> = (0..n_streams)
-        .map(|s| {
-            SceneBuilder::new(res)
-                .seed(100 + s as u64)
-                .walkers(2 + s % 3)
-                .build()
-                .render_sequence(n_frames)
-                .0
-                .into_frames()
-        })
-        .collect();
-    let run = if use_f32 {
-        run_fleet::<f32>(
-            &scenes, &key_refs, level, k, buffers, fps, slo, window_s, headroom, device_mem,
-        )?
-    } else {
-        run_fleet::<f64>(
-            &scenes, &key_refs, level, k, buffers, fps, slo, window_s, headroom, device_mem,
-        )?
-    };
+    let cameras = w.cameras(n_streams);
+    let run = w.run(Fleet {
+        cameras: &cameras,
+        serving: &serving,
+        devices: &keys,
+        headroom: opts.req("--headroom"),
+        device_mem: opts
+            .get::<f64>("--device-mem-mb")
+            .map(|mb| (mb * 1024.0 * 1024.0) as usize),
+    })?;
     let report = &run.report;
 
-    let doc = mogpu::json::json!({
-        "streams": n_streams,
-        "frames_per_stream": n_frames - 1,
-        "level": level.name(),
-        "buffers_per_stream": buffers.max(1),
-        "arrival_fps": fps,
-        "slo_deadline_ms": 1e3 * slo.deadline_s,
-        "slo_error_budget": slo.error_budget,
-        "streams_admitted": report.streams_admitted(),
-        "streams_shed": report.shed.len(),
-        "streams_at_slo": report.streams_at_slo(),
-        "frames_dropped": report.frames_dropped(),
-        "makespan_s": report.makespan_s,
-        "report": report,
-        "advisories": run.advisories,
-    });
-    if json {
-        println!(
-            "{}",
-            mogpu::json::to_string_pretty(&doc).map_err(|e| e.to_string())?
-        );
+    let doc = serving.document(
+        &w,
+        n_streams,
+        mogpu::json::json!({
+            "streams_admitted": report.streams_admitted(),
+            "streams_shed": report.shed.len(),
+            "streams_at_slo": report.streams_at_slo(),
+            "frames_dropped": report.frames_dropped(),
+            "makespan_s": report.makespan_s,
+            "report": report,
+            "advisories": run.advisories,
+        }),
+    );
+    if opts.has("--json") {
+        println!("{}", pretty(&doc)?);
     } else {
         println!(
             "fleet: {} device(s), {n_streams} streams x {} frames, level {}{}",
             report.devices.len(),
-            n_frames - 1,
-            level.name(),
-            if fps > 0.0 {
-                format!(", arrivals at {fps:.0} fps")
-            } else {
-                ", offline".into()
-            }
+            w.frames - 1,
+            w.level.name(),
+            serving.arrivals()
         );
-        println!(
-            "{:<12} {:<10} {:>7} {:>6} {:>14} {:>7} {:>10}",
-            "device", "class", "streams", "load", "mem MB", "at-SLO", "makespan s"
-        );
+        println!("device       class      streams   load         mem MB  at-SLO makespan s");
         for d in &report.devices {
             println!(
                 "{:<12} {:<10} {:>7} {:>6.2} {:>7.1}/{:<6.0} {:>4}/{:<2} {:>10.4}",
@@ -1501,7 +1683,7 @@ fn cmd_fleet(args: &[String]) -> Result<(), String> {
             report.streams_admitted(),
             report.streams_total(),
             report.streams_at_slo(),
-            1e3 * slo.deadline_s,
+            1e3 * serving.slo.deadline_s,
             report.frames_dropped(),
             report.makespan_s,
         );
@@ -1514,65 +1696,17 @@ fn cmd_fleet(args: &[String]) -> Result<(), String> {
         }
     }
 
-    if let Some(path) = &events_out {
-        let events = report.all_events();
-        let mut writer = mogpu::sim::serving::EventLogWriter::create(path)
-            .map_err(|e| format!("{}: {e}", path.display()))?;
-        writer
-            .write_events(&events)
-            .and_then(|()| writer.flush())
-            .map_err(|e| format!("{}: {e}", path.display()))?;
-        println!(
-            "wrote {} serving events to {}",
-            events.len(),
-            path.display()
-        );
-    }
-    if let Some(path) = &obs.report_out {
-        let text = mogpu::json::to_string_pretty(&doc).map_err(|e| e.to_string())?;
-        std::fs::write(path, text).map_err(|e| format!("{}: {e}", path.display()))?;
+    serving.write_events(&report.all_events())?;
+    if let Some(path) = &report_out {
+        write_file(path, pretty(&doc)?)?;
         println!("wrote fleet report to {}", path.display());
     }
-    if let Some(addr) = &serve_addr {
-        serve_fleet_metrics(run.report, addr, replay_s, serve_seconds)?;
+    if let Some(addr) = &serving.serve_addr {
+        serve(opts, addr, |addr, replay_s| {
+            MetricsServer::bind_fleet(addr, run.report, replay_s)
+        })?;
     }
     Ok(())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_fleet<T: mogpu::core::DeviceReal>(
-    scenes: &[Vec<Frame<u8>>],
-    keys: &[&str],
-    level: OptLevel,
-    k: usize,
-    buffers: usize,
-    fps: f64,
-    slo: mogpu::sim::serving::SloConfig,
-    window_s: f64,
-    headroom: f64,
-    device_mem: Option<usize>,
-) -> Result<FleetRunReport, String> {
-    let seeds: Vec<&[u8]> = scenes.iter().map(|f| f[0].as_slice()).collect();
-    let mut fleet = FleetPipeline::<T>::new(
-        scenes[0][0].resolution(),
-        MogParams::new(k),
-        level,
-        &seeds,
-        keys,
-    )
-    .map_err(|e| e.to_string())?
-    .with_buffers(buffers)
-    .with_slo(slo)
-    .with_window(window_s)
-    .with_headroom(headroom);
-    if fps > 0.0 {
-        fleet = fleet.with_arrival_period(1.0 / fps);
-    }
-    if let Some(bytes) = device_mem {
-        fleet = fleet.with_device_mem(bytes);
-    }
-    let frames: Vec<Vec<Frame<u8>>> = scenes.iter().map(|f| f[1..].to_vec()).collect();
-    fleet.process_all(&frames).map_err(|e| e.to_string())
 }
 
 fn print_fleet_advisory(rank: usize, a: &mogpu::sim::fleet::FleetAdvisory) {
@@ -1587,52 +1721,15 @@ fn print_fleet_advisory(rank: usize, a: &mogpu::sim::fleet::FleetAdvisory) {
     println!("   {}", a.finding);
 }
 
-/// Binds the scrape endpoint on a fleet report and replays its window
-/// snapshots until the duration elapses (0 = forever).
-fn serve_fleet_metrics(
-    report: mogpu::sim::fleet::FleetReport,
-    addr: &str,
-    replay_s: f64,
-    serve_seconds: f64,
-) -> Result<(), String> {
-    let server = mogpu::serve::MetricsServer::bind_fleet(addr, report, replay_s)
-        .map_err(|e| format!("bind {addr}: {e}"))?;
-    println!(
-        "serving /metrics on http://{} ({})",
-        server.local_addr(),
-        if serve_seconds > 0.0 {
-            format!("for {serve_seconds:.0} s")
-        } else {
-            "until interrupted".into()
-        }
-    );
-    let handled = server
-        .serve_for(serve_seconds)
-        .map_err(|e| format!("serve: {e}"))?;
-    println!("served {handled} request(s)");
-    Ok(())
-}
-
-fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let report_path = PathBuf::from(opt_value(args, "--report").ok_or(
+fn cmd_serve(opts: &Opts) -> Result<(), String> {
+    let report_path: PathBuf = opts.get("--report").ok_or(
         "usage: mogpu serve --report FILE.json [--addr HOST:PORT] [--serve-seconds N] [--replay-ms N]",
-    )?);
-    let addr = opt_value(args, "--addr").unwrap_or_else(|| "127.0.0.1:9184".into());
-    let serve_seconds: f64 = opt_value(args, "--serve-seconds")
-        .map(|v| v.parse().unwrap_or(0.0))
-        .unwrap_or(0.0);
-    let replay_s = parse_replay_s(args)?;
+    )?;
+    let addr: String = opts.req("--addr");
 
-    let text = std::fs::read_to_string(&report_path)
-        .map_err(|e| format!("{}: {e}", report_path.display()))?;
-    let doc: mogpu::json::Value =
-        mogpu::json::from_str(&text).map_err(|e| format!("{}: {e}", report_path.display()))?;
-    // Accept either a `mogpu streams --report-out` document (serving
-    // report under the "serving" key) or a bare serving report.
-    let serving_value = doc.get("serving").unwrap_or(&doc);
-    let serving =
-        <mogpu::sim::serving::ServingReport as serde::Deserialize>::from_json_value(serving_value)
-            .map_err(|e| format!("{}: not a serving report: {e}", report_path.display()))?;
+    // A `mogpu streams --report-out` document or a bare serving report.
+    let serving: mogpu::sim::serving::ServingReport =
+        read_report(&report_path, "serving", "serving")?;
     println!(
         "replaying {}: device {:?}, {} stream(s), {} snapshot(s), {:.4} s makespan",
         report_path.display(),
@@ -1641,45 +1738,21 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         serving.snapshots.len(),
         serving.makespan_s
     );
-    serve_metrics(serving, &addr, replay_s, serve_seconds, String::new())
+    serve(opts, &addr, |addr, replay_s| {
+        MetricsServer::bind(addr, serving, replay_s)
+    })
 }
 
-fn cmd_metrics(args: &[String]) -> Result<(), String> {
-    let level = parse_level(&opt_value(args, "--level").unwrap_or_else(|| "F".into()))?;
-    let n_frames: usize = opt_value(args, "--frames")
-        .map(|v| v.parse().unwrap_or(16))
-        .unwrap_or(16)
-        .max(2);
-    let k: usize = opt_value(args, "--k")
-        .map(|v| v.parse().unwrap_or(3))
-        .unwrap_or(3);
-    let use_f32 = opt_flag(args, "--float");
-    let out = opt_value(args, "--out").map(PathBuf::from);
+fn cmd_metrics(opts: &Opts) -> Result<(), String> {
+    let w = Workload::new(opts, opts.level());
+    let out = opts.get::<PathBuf>("--out");
 
-    let frames = SceneBuilder::new(Resolution::QQVGA)
-        .seed(7)
-        .walkers(3)
-        .build()
-        .render_sequence(n_frames)
-        .0
-        .into_frames();
-    let (_, prof, _) = if use_f32 {
-        run_level_profiled::<f32>(level, k, &frames, true)?
-    } else {
-        run_level_profiled::<f64>(level, k, &frames, true)?
-    };
-    let profile = prof.expect("profiling was enabled");
-    let text = mogpu::sim::telemetry::prometheus(&[(
-        format!("level {}", profile.level),
-        &profile.telemetry,
-        Some(mogpu::sim::KernelGauges::new(
-            &profile.metrics,
-            &profile.occupancy,
-        )),
-    )]);
+    let frames = w.render();
+    let run = w.run(Single(&frames, profiled(true)))?;
+    let text = exposition(&[run.profile.expect("profiling was enabled")]);
     match out {
         Some(path) => {
-            std::fs::write(&path, text).map_err(|e| format!("{}: {e}", path.display()))?;
+            write_file(&path, text)?;
             println!("wrote Prometheus metrics to {}", path.display());
         }
         None => print!("{text}"),
@@ -1687,31 +1760,18 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_bench(args: &[String]) -> Result<(), String> {
-    match args.first().map(String::as_str) {
-        Some("record") => cmd_bench_record(&args[1..]),
-        Some("check") => cmd_bench_check(&args[1..]),
-        _ => Err("usage: mogpu bench record|check (see `mogpu help`)".into()),
-    }
-}
-
-fn cmd_bench_record(args: &[String]) -> Result<(), String> {
-    let out = PathBuf::from(
-        opt_value(args, "--out")
-            .unwrap_or_else(|| mogpu::bench::baseline::DEFAULT_BASELINE_PATH.into()),
-    );
+fn cmd_bench_record(opts: &Opts) -> Result<(), String> {
+    let out: PathBuf = opts.req("--out");
     let mut cfg = mogpu::bench::BenchConfig::default();
-    if let Some(v) = opt_value(args, "--frames") {
-        cfg.frames = v.parse().map_err(|_| format!("bad --frames {v:?}"))?;
+    if let Some(frames) = opts.get("--frames") {
+        cfg.frames = frames;
     }
-    if let Some(v) = opt_value(args, "--k") {
-        cfg.k = v.parse().map_err(|_| format!("bad --k {v:?}"))?;
+    if let Some(k) = opts.get("--k") {
+        cfg.k = k;
     }
-    if let Some(v) = opt_value(args, "--streams") {
-        cfg.streams = v.parse().map_err(|_| format!("bad --streams {v:?}"))?;
+    if let Some(streams) = opts.get("--streams") {
+        cfg.streams = streams;
     }
-    cfg.frames = cfg.frames.max(2);
-    cfg.streams = cfg.streams.max(1);
 
     let mut baseline = mogpu::bench::baseline::measure(&cfg, mogpu::bench::Tolerances::default());
     // Per-level slim profile reports next to the baseline: the stored
@@ -1730,31 +1790,21 @@ fn cmd_bench_record(args: &[String]) -> Result<(), String> {
     println!(
         "recorded {} per-level profile reports under {}",
         baseline.reports.len(),
-        out.parent()
-            .unwrap_or(std::path::Path::new("."))
-            .join("reports")
-            .display()
+        out.with_file_name("reports").display()
     );
     Ok(())
 }
 
-fn cmd_bench_check(args: &[String]) -> Result<(), String> {
-    let path = PathBuf::from(
-        opt_value(args, "--baseline")
-            .unwrap_or_else(|| mogpu::bench::baseline::DEFAULT_BASELINE_PATH.into()),
-    );
-    let json = opt_flag(args, "--json");
+fn cmd_bench_check(opts: &Opts) -> Result<(), String> {
+    let path: PathBuf = opts.req("--baseline");
 
     let baseline = mogpu::bench::baseline::read_baseline(&path)?;
     // Re-measure with the *baseline's* recorded workload shape so the
     // comparison is apples to apples even if the defaults have moved.
     let current = mogpu::bench::baseline::measure(&baseline.config, baseline.tolerances);
     let report = mogpu::bench::baseline::check(&baseline, &current);
-    if json {
-        println!(
-            "{}",
-            mogpu::json::to_string_pretty(&report).map_err(|e| e.to_string())?
-        );
+    if opts.has("--json") {
+        println!("{}", pretty(&report)?);
     } else {
         println!("{}", mogpu::bench::baseline::render_table(&report));
     }
@@ -1765,15 +1815,11 @@ fn cmd_bench_check(args: &[String]) -> Result<(), String> {
         // baseline (CI artifacts).
         match mogpu::bench::baseline::attribute_failures(&baseline, &report, &path) {
             Ok(Some(diff_report)) => {
-                let diff_path = opt_value(args, "--diff-out")
-                    .map(PathBuf::from)
-                    .unwrap_or_else(|| {
-                        path.parent()
-                            .unwrap_or(std::path::Path::new("."))
-                            .join("diff.json")
-                    });
-                let text = mogpu::json::to_string_canonical_pretty(&diff_report)
-                    .map_err(|e| e.to_string())?;
+                let diff_path = match opts.get::<PathBuf>("--diff-out") {
+                    Some(p) => p,
+                    None => path.with_file_name("diff.json"),
+                };
+                let text = canonical(&diff_report)?;
                 if let Err(e) = std::fs::write(&diff_path, text + "\n") {
                     eprintln!("warning: cannot write {}: {e}", diff_path.display());
                 } else {
@@ -1792,35 +1838,26 @@ fn cmd_bench_check(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_check(args: &[String]) -> Result<(), String> {
-    let n_frames: usize = opt_value(args, "--frames")
-        .map(|v| v.parse().unwrap_or(8))
-        .unwrap_or(8)
-        .max(2);
-    let k: usize = opt_value(args, "--k")
-        .map(|v| v.parse().unwrap_or(3))
-        .unwrap_or(3);
-    let use_f32 = opt_flag(args, "--float");
-    let json = opt_flag(args, "--json");
-
-    let res = Resolution::QQVGA;
-    let scene = SceneBuilder::new(res).seed(7).walkers(3).build();
-    let frames = scene.render_sequence(n_frames).0.into_frames();
-    let (_, truth_mask) = scene.render(n_frames / 2);
+fn cmd_check(opts: &Opts) -> Result<(), String> {
+    let json = opts.has("--json");
+    // The level is set per target below.
+    let w = Workload::new(opts, OptLevel::A);
+    let scene = w.scene();
+    let frames = scene.render_sequence(w.frames).0.into_frames();
+    let (_, truth_mask) = scene.render(w.frames / 2);
 
     let mut results: Vec<(String, mogpu::sim::SanReport)> = Vec::new();
-    for level in OptLevel::LADDER
-        .into_iter()
-        .chain([OptLevel::Windowed { group: 8 }])
-    {
-        let report = if use_f32 {
-            check_level::<f32>(level, k, &frames)?
-        } else {
-            check_level::<f64>(level, k, &frames)?
-        };
+    let sanitized = Instruments {
+        sanitize: true,
+        ..Instruments::default()
+    };
+    for level in sweep() {
+        let out = Workload { level, ..w }.run(Single(&frames, sanitized))?;
+        let report = out.san.expect("sanitize was on");
         results.push((format!("level {}", level.name()), report));
     }
-    results.push(("adaptive".into(), check_adaptive(k, &frames, use_f32)?));
+    let adaptive = w.run(AdaptiveSanitized(&frames))?;
+    results.push(("adaptive".into(), adaptive));
     for (name, op) in [
         ("morph erode", mogpu::core::kernels::MorphOp::Erode),
         ("morph dilate", mogpu::core::kernels::MorphOp::Dilate),
@@ -1843,7 +1880,7 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
 
     let total: usize = results.iter().map(|(_, r)| r.len()).sum();
     if json {
-        let targets: Vec<mogpu::json::Value> = results
+        let targets: Vec<Value> = results
             .iter()
             .map(|(name, report)| {
                 mogpu::json::json!({
@@ -1853,21 +1890,20 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
             })
             .collect();
         let doc = mogpu::json::json!({
-            "frames": n_frames - 1,
-            "k": k,
+            "frames": w.frames - 1,
+            "k": w.k,
             "clean": total == 0,
             "findings": total as u64,
             "targets": targets,
         });
-        println!(
-            "{}",
-            mogpu::json::to_string_pretty(&doc).map_err(|e| e.to_string())?
-        );
+        println!("{}", pretty(&doc)?);
     } else {
         println!(
-            "sanitizer sweep — {res}, {} frames, K={k}, {}",
-            n_frames - 1,
-            if use_f32 { "float" } else { "double" }
+            "sanitizer sweep — {}, {} frames, K={}, {}",
+            w.res,
+            w.frames - 1,
+            w.k,
+            w.precision()
         );
         for (name, report) in &results {
             if report.is_clean() {
@@ -1882,77 +1918,4 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
         return Err(format!("sanitizer reported {total} finding(s)"));
     }
     Ok(())
-}
-
-fn check_level<T: mogpu::core::DeviceReal>(
-    level: OptLevel,
-    k: usize,
-    frames: &[Frame<u8>],
-) -> Result<mogpu::sim::SanReport, String> {
-    let mut gpu = GpuMog::<T>::new(
-        frames[0].resolution(),
-        MogParams::new(k),
-        level,
-        frames[0].as_slice(),
-        GpuConfig::tesla_c2075(),
-    )
-    .map_err(|e| e.to_string())?;
-    gpu.set_sanitize(true);
-    gpu.process_all(&frames[1..]).map_err(|e| e.to_string())?;
-    Ok(gpu.take_san_report().expect("sanitize was on"))
-}
-
-fn check_adaptive(
-    k: usize,
-    frames: &[Frame<u8>],
-    use_f32: bool,
-) -> Result<mogpu::sim::SanReport, String> {
-    fn go<T: mogpu::core::DeviceReal>(
-        k: usize,
-        frames: &[Frame<u8>],
-    ) -> Result<mogpu::sim::SanReport, String> {
-        let mut gpu = mogpu::core::AdaptiveGpuMog::<T>::new(
-            frames[0].resolution(),
-            MogParams::new(k),
-            frames[0].as_slice(),
-            GpuConfig::tesla_c2075(),
-        )
-        .map_err(|e| e.to_string())?;
-        gpu.set_sanitize(true);
-        gpu.process_all(&frames[1..]).map_err(|e| e.to_string())?;
-        Ok(gpu.take_san_report().expect("sanitize was on"))
-    }
-    if use_f32 {
-        go::<f32>(k, frames)
-    } else {
-        go::<f64>(k, frames)
-    }
-}
-
-fn run_streams<T: mogpu::core::DeviceReal>(
-    scenes: &[Vec<Frame<u8>>],
-    level: OptLevel,
-    k: usize,
-    buffers: usize,
-    fps: f64,
-    slo: mogpu::sim::serving::SloConfig,
-    window_s: f64,
-) -> Result<MultiStreamReport, String> {
-    let seeds: Vec<&[u8]> = scenes.iter().map(|f| f[0].as_slice()).collect();
-    let mut multi = MultiGpuMog::<T>::new(
-        scenes[0][0].resolution(),
-        MogParams::new(k),
-        level,
-        &seeds,
-        GpuConfig::tesla_c2075(),
-    )
-    .map_err(|e| e.to_string())?
-    .with_buffers(buffers)
-    .with_slo(slo)
-    .with_window(window_s);
-    if fps > 0.0 {
-        multi = multi.with_arrival_period(1.0 / fps);
-    }
-    let frames: Vec<Vec<Frame<u8>>> = scenes.iter().map(|f| f[1..].to_vec()).collect();
-    multi.process_all(&frames).map_err(|e| e.to_string())
 }

@@ -20,11 +20,15 @@
 use mogpu_sim::fleet::{prometheus_fleet, FleetReport};
 use mogpu_sim::serving::{prometheus_serving, ServingReport};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 /// Default wall-clock seconds each snapshot window is served for.
 pub const DEFAULT_REPLAY_INTERVAL_S: f64 = 0.5;
+
+/// Longest request head read before answering; a scrape request is a
+/// few hundred bytes.
+const MAX_REQUEST_HEAD: usize = 8 * 1024;
 
 /// What the endpoint replays: one device's serving report, or a whole
 /// fleet report (per-device families under one exposition).
@@ -184,13 +188,25 @@ impl MetricsServer {
     }
 
     fn handle(&self, mut stream: TcpStream) -> std::io::Result<()> {
+        // The listener is non-blocking; some platforms pass that on to
+        // accepted sockets, and the reads below rely on the timeouts.
+        stream.set_nonblocking(false)?;
         stream.set_read_timeout(Some(Duration::from_millis(500)))?;
         stream.set_write_timeout(Some(Duration::from_millis(500)))?;
-        // Read the request line; drain headers best-effort (the request
-        // fits one read for every real scraper).
-        let mut buf = [0u8; 4096];
-        let n = stream.read(&mut buf)?;
-        let request = String::from_utf8_lossy(&buf[..n]);
+        // Read the whole request head, however the client split it into
+        // writes: closing a socket with request bytes still unread makes
+        // the kernel reset the connection, and the client can lose the
+        // response.
+        let mut head = Vec::new();
+        let mut buf = [0u8; 1024];
+        while !head.windows(4).any(|w| w == b"\r\n\r\n") && head.len() < MAX_REQUEST_HEAD {
+            let n = stream.read(&mut buf)?;
+            if n == 0 {
+                break;
+            }
+            head.extend_from_slice(&buf[..n]);
+        }
+        let request = String::from_utf8_lossy(&head);
         let line = request.lines().next().unwrap_or("");
         let mut parts = line.split_whitespace();
         let method = parts.next().unwrap_or("");
@@ -224,7 +240,9 @@ impl MetricsServer {
             "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
             body.len()
         );
-        stream.write_all(response.as_bytes())
+        stream.write_all(response.as_bytes())?;
+        // Half-close so the client reads the whole response, then EOF.
+        stream.shutdown(Shutdown::Write)
     }
 }
 
@@ -280,6 +298,29 @@ mod tests {
         assert!(head.starts_with("HTTP/1.1 200"), "{head}");
         assert!(body.contains("/metrics"));
         t.join().unwrap();
+    }
+
+    /// Regression: the server used to answer after one read of at most
+    /// 4 KiB and close with the rest of the request unread, which makes
+    /// the kernel reset the connection and the client lose the response.
+    #[test]
+    fn a_request_split_across_writes_gets_the_whole_response() {
+        let server = MetricsServer::bind("127.0.0.1:0", report(), 10.0).unwrap();
+        let addr = server.local_addr();
+        let t = std::thread::spawn(move || server.serve_for(1.0).unwrap());
+        let mut s = TcpStream::connect(addr).expect("connect");
+        let padding = "a".repeat(5000);
+        write!(s, "GET /metrics HTTP/1.1\r\nX-Padding: {padding}\r\n").unwrap();
+        // The head's end arrives only after a pause, in a second write.
+        std::thread::sleep(Duration::from_millis(100));
+        s.write_all(b"Host: x\r\n\r\n").unwrap();
+        let mut out = String::new();
+        s.read_to_string(&mut out).expect("read response");
+        let (head, body) = out.split_once("\r\n\r\n").expect("header/body split");
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        assert!(head.contains(&format!("Content-Length: {}", body.len())));
+        assert!(body.contains("# TYPE mogpu_frame_latency_seconds histogram"));
+        assert_eq!(t.join().unwrap(), 1);
     }
 
     #[test]

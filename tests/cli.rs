@@ -1,7 +1,8 @@
 //! End-to-end tests of the `mogpu` binary: help coverage, error paths,
 //! the Prometheus metrics output, and the bench regression gate.
 
-use std::path::PathBuf;
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn mogpu(args: &[&str]) -> Output {
@@ -489,4 +490,217 @@ fn bench_without_a_subcommand_errors() {
     let out = mogpu(&["bench"]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("record|check"));
+}
+
+/// Runs `mogpu` with `dir` as its working directory, so relative
+/// artifact paths land there.
+fn mogpu_in(dir: &Path, args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_mogpu"))
+        .args(args)
+        .current_dir(dir)
+        .output()
+        .expect("spawn mogpu")
+}
+
+fn listing(dir: &Path) -> BTreeSet<PathBuf> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect()
+}
+
+/// The contract for bad input: exit 1 (never a panic's 101), a stderr
+/// naming `names`, nothing on stdout, and no file created.
+fn assert_rejected(dir: &Path, args: &[&str], names: &str) {
+    let before = listing(dir);
+    let out = mogpu_in(dir, args);
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(1), "{args:?} stderr: {err}");
+    assert!(
+        err.contains(names),
+        "{args:?} stderr does not name {names}: {err}"
+    );
+    assert!(out.stdout.is_empty(), "{args:?} printed: {}", stdout(&out));
+    assert_eq!(listing(dir), before, "{args:?} left a file behind");
+}
+
+/// Every subcommand, with the arguments it needs to get past them, and
+/// one of its valued flags.
+const SUBCOMMANDS: [(&[&str], &str); 15] = [
+    (&["info"], "--frames"),
+    (&["demo", "--out", "demo"], "--level"),
+    (&["ladder", "--report-out", "r.json"], "--frames"),
+    (&["run", "--output", "o.y4m"], "--input"),
+    (&["profile", "--report-out", "r.json"], "--level"),
+    (&["advise"], "--tpb"),
+    (&["diff", "a.json", "b.json", "--out", "d.json"], "--config"),
+    (&["dataflow", "--dot-out", "g.dot"], "--metrics-out"),
+    (&["streams", "--report-out", "r.json"], "--events-out"),
+    (&["fleet", "--report-out", "f.json"], "--devices"),
+    (&["serve", "--report", "r.json"], "--addr"),
+    (&["check"], "--k"),
+    (&["metrics", "--out", "m.prom"], "--level"),
+    (&["bench", "record", "--out", "b.json"], "--frames"),
+    (&["bench", "check", "--diff-out", "d.json"], "--baseline"),
+];
+
+#[test]
+fn misspelled_repeated_and_valueless_flags_are_rejected_everywhere() {
+    let dir = temp_dir("strict_flags");
+    for (prefix, valued) in SUBCOMMANDS {
+        let with = |extra: &[&'static str]| [prefix, extra].concat();
+        assert_rejected(&dir, &with(&["--framez", "3"]), "--framez");
+        assert_rejected(&dir, &with(&["--levle", "A"]), "--levle");
+        assert_rejected(&dir, &with(&[valued]), valued);
+        assert_rejected(&dir, &with(&[valued, "--json"]), valued);
+        assert_rejected(&dir, &with(&[valued, "x", valued, "y"]), valued);
+        assert_rejected(&dir, &with(&["stray.json"]), "stray.json");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn out_of_range_values_are_rejected_naming_the_flag() {
+    let dir = temp_dir("strict_values");
+    const INT: &[&str] = &["0", "-1", "nan", "18446744073709551616", "abc", ""];
+    const POSITIVE: &[&str] = &["0", "-1", "nan", "1e999", "abc", "-inf"];
+    const NON_NEGATIVE: &[&str] = &["-1", "nan", "1e999", "abc", "inf"];
+    const LEVEL: &[&str] = &["W0", "G", "W99999999999999999999999", "", "W-1"];
+    let serving = ["streams", "--serve-metrics", "127.0.0.1:0"];
+    let cases: [(&[&str], &str, &[&str]); 32] = [
+        (&["demo", "--out", "demo"], "--frames", INT),
+        (&["demo", "--out", "demo"], "--level", LEVEL),
+        (&["ladder"], "--frames", INT),
+        (&["ladder"], "--k", INT),
+        (&["run"], "--frames", INT),
+        (&["run"], "--k", INT),
+        (&["profile"], "--frames", INT),
+        (&["profile"], "--top", INT),
+        (&["profile"], "--level", LEVEL),
+        (&["advise"], "--frames", INT),
+        (&["advise"], "--tpb", INT),
+        (&["advise"], "--tpb", &["4294967296"]),
+        (&["advise"], "--top", INT),
+        (&["advise"], "--level", LEVEL),
+        (
+            &["diff", "a.json", "b.json", "--out", "d.json"],
+            "--top",
+            INT,
+        ),
+        (&["dataflow"], "--frames", INT),
+        (&["streams", "--report-out", "r.json"], "--streams", INT),
+        (&["streams"], "--buffers", INT),
+        (&["streams"], "--slo-ms", POSITIVE),
+        (&["streams"], "--fps", NON_NEGATIVE),
+        (&["streams"], "--window-ms", NON_NEGATIVE),
+        (&serving, "--replay-ms", POSITIVE),
+        (&serving, "--serve-seconds", NON_NEGATIVE),
+        (&["fleet", "--report-out", "f.json"], "--frames", INT),
+        (&["fleet"], "--streams", INT),
+        (&["fleet"], "--headroom", POSITIVE),
+        (&["fleet"], "--device-mem-mb", NON_NEGATIVE),
+        (&["fleet"], "--error-budget", &["-1", "1.5", "nan", "1e999"]),
+        (&["serve", "--report", "r.json"], "--replay-ms", POSITIVE),
+        (&["check"], "--frames", INT),
+        (&["metrics", "--out", "m.prom"], "--frames", INT),
+        (&["bench", "record", "--out", "b.json"], "--streams", INT),
+    ];
+    for (prefix, flag, values) in cases {
+        for value in values {
+            assert_rejected(&dir, &[prefix, &[flag, value]].concat(), flag);
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A flag the selected mode has no use for is an error, not ignored.
+#[test]
+fn flags_the_mode_does_not_use_are_rejected() {
+    let dir = temp_dir("strict_modes");
+    for (args, names) in [
+        (
+            &["advise", "--fleet-report", "f.json", "--level", "A"][..],
+            "--level",
+        ),
+        (
+            &["advise", "--fleet-report", "f.json", "--top", "3"],
+            "--top",
+        ),
+        (&["run", "--input", "in.y4m", "--frames", "3"], "--frames"),
+        (&["profile", "-i", "in.y4m", "--frames", "3"], "--frames"),
+        (&["streams", "--replay-ms", "100"], "--replay-ms"),
+        (&["fleet", "--serve-seconds", "1"], "--serve-seconds"),
+        (&["fleet", "--trace-out", "t.json"], "--trace-out"),
+        (&["fleet", "--metrics-out", "m.prom"], "--metrics-out"),
+        (&["ladder", "-i", "in.y4m"], "-i"),
+        (&["bench", "frob"], "record|check"),
+    ] {
+        assert_rejected(&dir, args, names);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn malformed_json_inputs_are_rejected_naming_the_file() {
+    let dir = temp_dir("strict_json");
+    let files = [
+        ("empty.json", ""),
+        (
+            "truncated.json",
+            "{\"serving\": {\"schema\": 1, \"streams\": [1, 2",
+        ),
+        ("wrong_kind.json", "{\"kind\": \"nope\", \"schema\": 99}"),
+        ("array.json", "[1, 2, 3]"),
+    ];
+    for (name, text) in files {
+        std::fs::write(dir.join(name), text).unwrap();
+    }
+    for (f, _) in files {
+        for args in [
+            &["diff", f, f, "--out", "d.json"][..],
+            &["serve", "--report", f, "--addr", "127.0.0.1:0"],
+            &["advise", "--fleet-report", f, "--json"],
+            &["bench", "check", "--baseline", f],
+        ] {
+            assert_rejected(&dir, args, f);
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `mogpu help` names exactly the flags the subcommands accept: every
+/// declared flag is documented, and every documented flag is accepted
+/// somewhere. The accepted flags are read from the unknown-flag error.
+#[test]
+fn help_names_exactly_the_flags_the_subcommands_accept() {
+    let help = stdout(&mogpu(&["help"]));
+    let documented: BTreeSet<&str> = help
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+        .filter(|t| t.starts_with("--") && t.len() > 2)
+        .collect();
+    let mut accepted = BTreeSet::new();
+    for (prefix, _) in SUBCOMMANDS {
+        let words = &prefix[..if prefix[0] == "bench" { 2 } else { 1 }];
+        let out = mogpu(&[words, &["--no-such-flag"]].concat());
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        let list = err
+            .split_once("(accepted: [")
+            .and_then(|(_, rest)| rest.split_once(']'))
+            .unwrap_or_else(|| panic!("{words:?} does not list its flags: {err}"))
+            .0;
+        for flag in list.split(", ").filter(|f| !f.is_empty()) {
+            let flag = flag.trim_matches('"').to_string();
+            assert!(
+                documented.contains(flag.as_str()),
+                "{words:?} accepts {flag}, which `mogpu help` never names"
+            );
+            accepted.insert(flag);
+        }
+    }
+    for flag in documented {
+        assert!(
+            accepted.contains(flag),
+            "`mogpu help` names {flag}, which no subcommand accepts"
+        );
+    }
 }
